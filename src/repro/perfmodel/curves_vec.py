@@ -140,10 +140,12 @@ class PackedCurves:
         y1 = ys[rows, k]
         # Flat-segment lanes take the x0 branch of the where(); the
         # dead inversion lanes may overflow or produce nan — suppress
-        # the warning, the values never escape.
+        # the warning, the values never escape.  The clamp spells out
+        # the scalar ``min(x1, x)`` (x only if x < x1): np.minimum
+        # picks differently between 0.0 and -0.0.
         with np.errstate(over="ignore", invalid="ignore"):
             t = (target - y0) / np.where(y1 == y0, 1.0, y1 - y0)
-            inv = np.where(y1 == y0, x0,
-                           np.minimum(x1, x0 + t * (x1 - x0)))
+            x = x0 + t * (x1 - x0)
+            inv = np.where(y1 == y0, x0, np.where(x < x1, x, x1))
         return np.where(first_y >= target, first_x,
                         np.where(reached, inv, last_x))

@@ -108,7 +108,8 @@ class CompactExclusiveBackfillScheduler(BaseScheduler):
     def schedule_point(
         self, cluster: ClusterState, pending: Sequence[Job], now: float
     ) -> List[Decision]:
-        queue = self._priority_queue(pending)
+        pending = self._as_queue(pending)
+        queue = list(pending.head(self.config.max_queue_scan))
         decisions: List[Decision] = []
 
         # Start jobs in priority order while they fit.
@@ -137,14 +138,14 @@ class CompactExclusiveBackfillScheduler(BaseScheduler):
         assert n_head is not None
         idle_now = cluster.idle_count()
         t_res, extra = self._reservation(idle_now, n_head, now)
-        head.times_passed_over += 1
+        passed_over = [head]
 
         for job in head_tail[1:]:
             n = self._footprint(job)
             assert n is not None
             idle_now = cluster.idle_count()
             if n > idle_now:
-                job.times_passed_over += 1
+                passed_over.append(job)
                 continue
             runtime = self._predicted_runtime(job)
             fits_before_reservation = now + runtime <= t_res + 1e-9
@@ -153,7 +154,10 @@ class CompactExclusiveBackfillScheduler(BaseScheduler):
                 if not fits_before_reservation:
                     extra -= n  # consumes shadow nodes past the reservation
             else:
-                job.times_passed_over += 1
+                passed_over.append(job)
+        # Started jobs and jobs with no valid footprint do not age, so
+        # the aged set is sparse within the window.
+        pending.pass_over(passed_over)
         return decisions
 
     def _try_place(self, cluster: ClusterState, job: Job, now: float):

@@ -4,13 +4,15 @@ At every scheduling point the queue is scanned in priority order — jobs
 that have been passed over more often rank higher (aging), ties break by
 submission order.  A job that has reached the configurable age limit
 blocks the queue: nothing behind it is scheduled until it fits, which
-prevents starvation of resource-demanding jobs (Section 4.4).
+prevents starvation of resource-demanding jobs (Section 4.4).  The
+runtime keeps the queue sorted by :meth:`BaseScheduler.priority_key`
+(:class:`repro.sim.pending.PendingQueue`), so a point reads only the
+head it scans.
 """
 
 from __future__ import annotations
 
 import abc
-import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SchedulerConfig
@@ -19,6 +21,7 @@ from repro.hardware.topology import ClusterSpec
 from repro.profiling.database import ProfileDatabase
 from repro.sim.cluster import ClusterState
 from repro.sim.job import Job, Placement
+from repro.sim.pending import PendingQueue
 from repro.sim.runtime import Decision
 
 
@@ -97,9 +100,17 @@ class BaseScheduler(abc.ABC):
 
     # -- queue mechanics ------------------------------------------------------
 
-    def _priority_key(self, job: Job) -> Tuple[int, float, int]:
+    @staticmethod
+    def priority_key(job: Job) -> Tuple[int, float, int]:
         """Aged jobs first, then FIFO by submission, then id."""
         return (-job.times_passed_over, job.submit_time, job.job_id)
+
+    def _as_queue(self, pending: Sequence[Job]) -> PendingQueue:
+        """The runtime passes its :class:`PendingQueue`; a plain
+        sequence (direct calls in tests and tools) is ranked once here."""
+        if isinstance(pending, PendingQueue):
+            return pending
+        return PendingQueue(self.priority_key, pending)
 
     def schedule_point(
         self, cluster: ClusterState, pending: Sequence[Job], now: float
@@ -107,7 +118,11 @@ class BaseScheduler(abc.ABC):
         # A single pass in priority order suffices: placements within a
         # point only consume resources, so a job that failed to fit
         # cannot become feasible later in the same point.
-        queue = self._priority_queue(pending)
+        # Long queues (congested trace replays) are truncated to
+        # ``max_queue_scan`` entries, like the bounded queue depth of
+        # production schedulers.
+        pending = self._as_queue(pending)
+        queue = pending.head(self.config.max_queue_scan)
         decisions: List[Decision] = []
         skipped: List[Job] = []
         # The cluster carries the simulation's PerfContext (construction
@@ -161,18 +176,8 @@ class BaseScheduler(abc.ABC):
                 # Aged job blocks the queue (anti-starvation): nothing
                 # behind it is scheduled until it fits.
                 break
-        for job in skipped:
-            job.times_passed_over += 1
+        pending.pass_over(skipped)
         return decisions
-
-    def _priority_queue(self, pending: Sequence[Job]) -> List[Job]:
-        """Top of the queue in priority order.  Long queues (congested
-        trace replays) are truncated to ``max_queue_scan`` entries, like
-        the bounded queue depth of production schedulers."""
-        limit = self.config.max_queue_scan
-        if len(pending) <= limit:
-            return sorted(pending, key=self._priority_key)
-        return heapq.nsmallest(limit, pending, key=self._priority_key)
 
     # -- shared placement helpers -----------------------------------------------
 

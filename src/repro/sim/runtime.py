@@ -39,6 +39,7 @@ from repro.obs.trace import TraceLevel, Tracer
 from repro.sim.cluster import ClusterState
 from repro.sim.engine import EventKind, EventQueue
 from repro.sim.job import Job, JobState, Placement
+from repro.sim.pending import PendingQueue
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,21 @@ class SchedulerPolicy(Protocol):
     #: Queue instrumentation merged into ``SimulationResult.counters``.
     counters: Dict[str, int]
 
+    def priority_key(self, job: Job) -> tuple:
+        """The job's queue rank, smaller first; unique per job.  The
+        runtime keeps its :class:`PendingQueue` sorted by this key, so
+        the key may only change through :meth:`PendingQueue.pass_over`
+        (aging), which can only lower it."""
+        ...  # pragma: no cover
+
     def schedule_point(
-        self, cluster: ClusterState, pending: Sequence[Job], now: float
+        self, cluster: ClusterState, pending: PendingQueue, now: float
     ) -> List[Decision]:
-        """Place as many pending jobs as the policy wants; mutate the
-        cluster via :meth:`ClusterState.place` and return the decisions."""
+        """Place as many pending jobs as the policy wants and return the
+        decisions.  The policy installs each placement with
+        :meth:`ClusterState.place_slices`, reads the queue's head, and
+        ages the jobs it passes over with :meth:`PendingQueue.pass_over`;
+        the runtime removes the placed jobs from the queue afterwards."""
         ...  # pragma: no cover
 
     def on_job_finish(self, job: Job, now: float) -> None:
@@ -255,7 +266,7 @@ class SchedulerCore:
         self.policy = policy
         self.config = config
         self.jobs: Dict[int, Job] = {}
-        self.pending: List[Job] = []
+        self.pending = PendingQueue(policy.priority_key)
         self.events = EventQueue()
         # Episode telemetry is lazy (DESIGN.md §10): the recorder is
         # only built at run() start when the config asks for it, so a
@@ -489,7 +500,7 @@ class SchedulerCore:
                 job = self.jobs[ev.job_id]
                 if tracer is not None:
                     tracer.submit(now, job)
-                self.pending.append(job)
+                self.pending.push(job)
             elif ev.kind is EventKind.JOB_FINISH:
                 self._finish_job(self.jobs[ev.job_id], now,
                                  affected, touched)
@@ -573,7 +584,7 @@ class SchedulerCore:
         if self.pending:
             raise SimulationError(
                 f"{len(self.pending)} jobs never scheduled (deadlock): "
-                f"{[j.job_id for j in self.pending[:5]]}"
+                f"{[j.job_id for j in self.pending.head(5)]}"
             )
         makespan = self.events.now
         if self.telemetry is not None and not self._finalized:
@@ -845,13 +856,14 @@ class SchedulerCore:
             # record order (exclude not-yet-emitted co-starters) keeps
             # the trace replayable.
             unstarted = {d.job.job_id for d in decisions}
+        pending = self.pending
         for d in decisions:
             job = d.job
-            if job not in self.pending:
+            if pending.get(job.job_id) is not job:
                 raise SimulationError(
                     f"policy placed job {job.job_id} that is not pending"
                 )
-            self.pending.remove(job)
+            pending.remove(job.job_id)
             work = (
                 reference_time(job.program, job.procs, self._spec)
                 * job.work_multiplier
@@ -876,7 +888,7 @@ class SchedulerCore:
                 and self.events.peek_time() is None:
             raise SimulationError(
                 "scheduler placed nothing on an idle cluster with pending "
-                f"jobs {[j.job_id for j in self.pending[:5]]}"
+                f"jobs {[j.job_id for j in self.pending.head(5)]}"
             )
 
     def _settle_residents(self, node_ids: Set[int], now: float) -> Set[int]:

@@ -102,6 +102,16 @@ def test_min_x_reaching_bitwise_equals_scalar(data, caches):
                           for i, t in zip(idx.tolist(), target.tolist())])
 
 
+def test_min_x_reaching_keeps_signed_zero_knot():
+    """Inverting onto a ``-0.0`` knot: the interpolation lands on
+    ``0.0`` and the scalar clamp ``min(-0.0, 0.0)`` keeps the knot's
+    ``-0.0``; the batch clamp must pick the same zero."""
+    curve = PiecewiseLinearCurve(((-1.0, 0.0), (-0.0, 1.0), (1.0, 2.0)))
+    got = PackedCurves([curve]).min_x_reaching(
+        np.array([0]), np.array([1.0]))
+    _assert_bitwise(got, [curve.min_x_reaching(1.0)])
+
+
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_vec_counter_accounting(data):
