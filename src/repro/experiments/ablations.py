@@ -109,7 +109,6 @@ def run_ablation(
     base_seed: int = 2019,
     alpha: float = 0.9,
     jobs: Optional[int] = None,
-    executor: str = "processes",
 ) -> AblationResult:
     cluster = cluster or default_cluster()
     variants = list(variants) if variants is not None else default_variants()
@@ -120,7 +119,6 @@ def run_ablation(
     per_sequence = run_grid(
         _run_sequence,
         [(seq, cluster, variants) for seq in sequences],
-        executor=executor,
         jobs=jobs,
     )
 

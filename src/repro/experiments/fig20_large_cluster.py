@@ -93,7 +93,6 @@ def run_fig20(
     trace_config: Optional[SyntheticTraceConfig] = None,
     seed: int = 42,
     jobs: Optional[int] = None,
-    executor: str = "processes",
 ) -> Fig20Result:
     """Replay the trace grid; ``jobs`` workers run points in parallel
     (``None``/1 serial, ``<= 0`` one per CPU) with point order — and
@@ -130,9 +129,7 @@ def run_fig20(
                     )
                 )
         return Fig20Result(points=points)
-    return Fig20Result(points=run_grid(
-        _run_point, tasks, executor=executor, jobs=jobs,
-    ))
+    return Fig20Result(points=run_grid(_run_point, tasks, jobs=jobs))
 
 
 def smoke_trace_config(n_jobs: int = 800,

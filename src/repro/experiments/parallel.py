@@ -1,10 +1,10 @@
-"""Parallel experiment grids: one entry point, four executors.
+"""Parallel experiment grids: one entry point, one parallel executor.
 
 The heavy experiments (Figs 14-16, 20, ablations) are embarrassingly
 parallel across their outermost axis: every grid point is an independent
 simulation with its own cluster, jobs, and caches.  :func:`run_grid`
-fans those points out while guaranteeing the results are
-*indistinguishable* from a serial run:
+fans those points out over a ``ProcessPoolExecutor`` while guaranteeing
+the results are *indistinguishable* from a serial run:
 
 * tasks are dispatched and collected in submission order, so the merged
   result list is deterministic;
@@ -16,23 +16,6 @@ fans those points out while guaranteeing the results are
   serially; only a failure to *create* a process pool (e.g. a sandbox
   without process support) silently falls back to the serial path.
 
-Executors:
-
-``serial``
-    ``[worker(t) for t in tasks]`` — the reference everything else must
-    bit-match.
-``threads``
-    ``ThreadPoolExecutor``; pays off when the workers release the GIL
-    (numpy-heavy batched arbitration) and *proves* the state-ownership
-    refactor — interleaved simulations share no kernel state.
-``processes``
-    ``ProcessPoolExecutor`` with pickled tasks/results — the default
-    fan-out for the figure grids (CLI ``--jobs``).
-``shard``
-    Forked workers writing into preallocated shared-memory result slots
-    (:mod:`repro.experiments.shard`) — zero-copy dispatch for grids
-    whose tasks are closures over large in-memory state.
-
 ``jobs`` follows one convention everywhere (:func:`resolve_jobs`):
 ``None``/``1`` serial, ``<= 0`` one worker per CPU, else that many.
 """
@@ -40,13 +23,11 @@ Executors:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-EXECUTORS = ("serial", "threads", "processes", "shard")
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -67,37 +48,22 @@ def run_grid(
     worker: Callable[[T], R],
     tasks: Sequence[T],
     *,
-    executor: str = "serial",
     jobs: Optional[int] = None,
-    chunksize: int = 1,
 ) -> List[R]:
-    """Map ``worker`` over ``tasks`` on the chosen executor.
+    """Map ``worker`` over ``tasks``: serially when ``jobs`` resolves to
+    1, otherwise on a pool of that many worker processes.
 
-    Drop-in for ``[worker(t) for t in tasks]`` under every executor:
-    results come back in task order regardless of completion order, and
-    the values are bit-identical to the serial run (the contract
-    ``tests/test_perf_context.py`` and ``tools/bench_report.py``
-    enforce).  ``worker`` and every task must be picklable for
-    ``executor="processes"``; ``chunksize`` batches pickled dispatch
-    there and is ignored elsewhere.
+    Drop-in for ``[worker(t) for t in tasks]``: results come back in
+    task order regardless of completion order, and the values are
+    bit-identical to the serial run (the contract
+    ``tests/test_perf_equivalence.py`` and ``tools/bench_report.py``
+    enforce).  ``worker`` and every task must be picklable when
+    ``jobs > 1``.
     """
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r} (choose from {EXECUTORS})"
-        )
     tasks = list(tasks)
     n_workers = resolve_jobs(jobs)
-    if executor == "serial" or n_workers <= 1 or len(tasks) <= 1:
+    if n_workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    if executor == "threads":
-        with ThreadPoolExecutor(
-            max_workers=min(n_workers, len(tasks))
-        ) as pool:
-            return list(pool.map(worker, tasks))
-    if executor == "shard":
-        from repro.experiments.shard import run_grid_processes
-
-        return run_grid_processes(worker, tasks, processes=n_workers)
     try:
         pool = ProcessPoolExecutor(max_workers=min(n_workers, len(tasks)))
     except (NotImplementedError, OSError, ValueError):
@@ -105,4 +71,4 @@ def run_grid(
         # rather than failing the experiment.
         return [worker(t) for t in tasks]
     with pool:
-        return list(pool.map(worker, tasks, chunksize=chunksize))
+        return list(pool.map(worker, tasks))

@@ -52,6 +52,55 @@ from repro.service import protocol
 from repro.sim.job import Job, JobState
 from repro.sim.runtime import SchedulerCore
 
+#: Longest request or header line a connection may send (asyncio's
+#: default stream limit, made explicit so the refusal can name it).
+LINE_LIMIT = 2 ** 16
+
+
+class _LineTooLong(Exception):
+    """A request or header line ran past :data:`LINE_LIMIT`; ``head``
+    keeps its first bytes so the encoding can still be sniffed."""
+
+    def __init__(self, head: bytes) -> None:
+        super().__init__(f"line exceeds {LINE_LIMIT} bytes")
+        self.head = head
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """``reader.readline()``, except that a line longer than the stream
+    limit is read to its end and dropped, then raised as
+    :class:`_LineTooLong` (``readline`` raises a bare ``ValueError``
+    and loses the line's head)."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        head = await reader.read(exc.consumed)
+    # Drop the rest of the line, so closing the connection after the
+    # refusal does not reset it under the reply.
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            break
+        except asyncio.IncompleteReadError:
+            break
+        except asyncio.LimitOverrunError as exc:
+            await reader.read(exc.consumed)
+    raise _LineTooLong(head)
+
+
+async def _refuse(writer: asyncio.StreamWriter, http: bool,
+                  status: Tuple[int, str], message: str) -> None:
+    """Send one final error reply in the connection's encoding; the
+    caller closes the connection after it."""
+    reply = protocol.error(message)
+    writer.write(
+        protocol.http_response(reply, status=status, keep_alive=False)
+        if http else protocol.encode(reply)
+    )
+    await writer.drain()
+
 
 class SchedulerMaster:
     """One service instance: a core, a bounded submission queue, and
@@ -119,7 +168,8 @@ class SchedulerMaster:
         self._gate = asyncio.Event()
         self._gate.set()
         self._stop = asyncio.Event()
-        server = await asyncio.start_server(self._handle_conn, host, port)
+        server = await asyncio.start_server(self._handle_conn, host, port,
+                                            limit=LINE_LIMIT)
         sockname = server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
         scheduler = asyncio.ensure_future(self._scheduler_task())
@@ -378,15 +428,24 @@ class SchedulerMaster:
     async def _handle_conn(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
         """Serve one connection; the first line picks the encoding
-        (HTTP verb -> HTTP, otherwise the JSON line protocol)."""
+        (HTTP verb -> HTTP, otherwise the JSON line protocol).  A line
+        over :data:`LINE_LIMIT` gets a 413 refusal and ends the
+        connection."""
+        http = False
         try:
-            first = await reader.readline()
-            if not first:
-                return
-            if protocol.HTTP_VERB.match(first):
-                await self._serve_http(first, reader, writer)
-            else:
-                await self._serve_lines(first, reader, writer)
+            try:
+                first = await _read_line(reader)
+                if not first:
+                    return
+                http = protocol.HTTP_VERB.match(first) is not None
+                if http:
+                    await self._serve_http(first, reader, writer)
+                else:
+                    await self._serve_lines(first, reader, writer)
+            except _LineTooLong as exc:
+                http = http or protocol.HTTP_VERB.match(exc.head) is not None
+                await _refuse(writer, http, (413, "Payload Too Large"),
+                              str(exc))
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.IncompleteReadError):
             pass
@@ -413,7 +472,7 @@ class SchedulerMaster:
                     reply = self._handle_request(request)
                 writer.write(protocol.encode(reply))
                 await writer.drain()
-            line = await reader.readline()
+            line = await _read_line(reader)
 
     async def _serve_http(self, first: bytes, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
@@ -421,26 +480,31 @@ class SchedulerMaster:
         while request_line:
             parts = request_line.decode("latin-1").split()
             if len(parts) < 2:
-                writer.write(protocol.http_response(
-                    protocol.error("malformed request line"),
-                    status=(400, "Bad Request"), keep_alive=False,
-                ))
-                await writer.drain()
+                await _refuse(writer, True, (400, "Bad Request"),
+                              "malformed request line")
                 return
             method, path = parts[0], parts[1]
             length = 0
             keep_alive = True
             while True:
-                header = await reader.readline()
+                header = await _read_line(reader)
                 if header in (b"\r\n", b"\n", b""):
                     break
                 name, _, value = header.decode("latin-1").partition(":")
                 name = name.strip().lower()
                 value = value.strip()
                 if name == "content-length":
-                    length = int(value)
+                    # 1*DIGIT only: int() would also take signs, spaces,
+                    # underscores and non-ASCII digits.
+                    length = int(value) \
+                        if value.isascii() and value.isdigit() else -1
                 elif name == "connection" and value.lower() == "close":
                     keep_alive = False
+            if length < 0:
+                await _refuse(writer, True, (400, "Bad Request"),
+                              "Content-Length must be a non-negative "
+                              "integer")
+                return
             body = await reader.readexactly(length) if length else None
             try:
                 request = protocol.route_request(method, path, body)
@@ -456,7 +520,7 @@ class SchedulerMaster:
                     await writer.drain()
                     if not keep_alive:
                         return
-                    request_line = await reader.readline()
+                    request_line = await _read_line(reader)
                     continue
                 reply = self._handle_request(request)
             writer.write(protocol.http_response(
@@ -466,7 +530,7 @@ class SchedulerMaster:
             await writer.drain()
             if not keep_alive:
                 return
-            request_line = await reader.readline()
+            request_line = await _read_line(reader)
 
 
 class ServiceHandle:

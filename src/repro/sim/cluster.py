@@ -59,10 +59,11 @@ class ClusterState:
     # cost per query on clusters with tens of thousands of idle nodes.
     _by_free_cores: Dict[int, Dict[int, None]] = field(init=False)
     # Per-node arbitration results as an object column (index = node id,
-    # ``None`` = no entry), evicted whenever place/remove changes the
-    # node's slice set; the runtime's _refresh reads unchanged nodes
-    # from here instead of re-arbitrating them from scratch.  A batched
-    # place/remove evicts its whole cohort with one fancy-indexed write.
+    # ``None`` = no entry), evicted whenever place_slices/remove_slices
+    # changes the node's slice set; the runtime's _refresh reads
+    # unchanged nodes from here instead of re-arbitrating them from
+    # scratch.  Each batch evicts its whole cohort with one
+    # fancy-indexed write.
     _arb_cache: np.ndarray = field(init=False)
     # Signature-keyed arbitration views shared *across* nodes: wide-job
     # placement produces thousands of nodes with identical resident mixes,
@@ -171,93 +172,21 @@ class ClusterState:
             self.booked_tor = None
             self.booked_spine = 0.0
 
-    # -- index maintenance -----------------------------------------------------
-
-    def _reindex(self, node_id: int, old_free: int, new_free: int) -> None:
-        if new_free == old_free:
-            return
-        buckets = self._by_free_cores
-        try:
-            bucket = buckets[old_free]
-            del bucket[node_id]
-        except KeyError:
-            raise SimulationError("free-core index out of sync") from None
-        if not bucket:
-            del buckets[old_free]
-        new_bucket = buckets.get(new_free)
-        if new_bucket is None:
-            buckets[new_free] = {node_id: None}
-        else:
-            new_bucket[node_id] = None
-        arrays = self._bucket_arrays
-        if arrays:
-            arrays.pop(old_free, None)
-            arrays.pop(new_free, None)
-        scache = self._scan_cache
-        if scache:
-            scache.pop(old_free, None)
-            scache.pop(new_free, None)
-
-    def place(self, node_id: int, job_id: int, program, procs: int,
-              ways: int, bw: float, n_nodes: int, net: float = 0.0) -> None:
-        """Place a job slice on a node, keeping the index consistent.
-
-        Arguments after ``node_id`` mirror :meth:`NodeState.place`.
-        """
-        if net != 0.0 and self._fabric is not None:
-            # A scalar place sees one node, not the whole placement, so
-            # it cannot split the booking into its cross-rack share —
-            # the batched path is the only writer of the link columns.
-            raise AllocationError(
-                "scalar place cannot maintain the fabric link columns "
-                "for a network-booking slice; use place_slices"
-            )
-        old = int(self.columns.free_cores[node_id])
-        self.nodes[node_id].place(job_id, program, procs, ways, bw,
-                                  n_nodes, net)
-        if not procs:
-            # Zero-proc slice: columns changed but the node stays in its
-            # bucket — _reindex below is a no-op, evict the memo here.
-            self._scan_cache.pop(old, None)
-        self._reindex(node_id, old, old - procs)
-        self._arb_cache[node_id] = None
-
-    def remove(self, node_id: int, job_id: int) -> None:
-        cols = self.columns
-        if self._fabric is not None:
-            sc = self.scols
-            n = int(cols.n_res[node_id])
-            row = sc.job[node_id, :n].tolist()
-            if job_id in row \
-                    and float(sc.cross[node_id, row.index(job_id)]) != 0.0:
-                # Dropping a cross-booked slice must re-derive the ToR /
-                # spine aggregates over the whole placement; only the
-                # batched path has that context.
-                raise AllocationError(
-                    "scalar remove cannot maintain the fabric link "
-                    "columns for a cross-rack slice; use remove_slices"
-                )
-        old = int(cols.free_cores[node_id])
-        self.nodes[node_id].remove(job_id)
-        new = int(cols.free_cores[node_id])
-        if new == old:
-            self._scan_cache.pop(old, None)
-        self._reindex(node_id, old, new)
-        self._arb_cache[node_id] = None
-        self.release_epoch += 1
+    # -- mutation: the only writers of the columns and the index -------------
 
     def place_slices(self, node_ids: Sequence[int], job_id: int, program,
                      procs_per_node: Dict[int, int], ways: int, bw: float,
                      n_nodes: int, net: float = 0.0) -> None:
         """Install one job's slices on all its nodes in one batch.
 
-        Semantically ``for nid in node_ids: place(nid, ...)``, but the
-        capacity columns mutate through fancy-indexed array ops and the
-        per-node Python bookkeeping shares one resident record and one
-        signature item per distinct process count (an even split has at
-        most two).  Validation runs *before* any mutation, so a raised
-        :class:`AllocationError` leaves the cluster untouched — no
-        caller-side rollback.
+        Each node gets ``procs_per_node[nid]`` cores, ``ways`` dedicated
+        ways (partitioned ledgers only), and ``bw`` GB/s plus ``net``
+        link fraction booked.  The capacity columns mutate through
+        fancy-indexed array ops and the per-node Python bookkeeping
+        shares one resident record and one signature item per distinct
+        process count (an even split has at most two).  Validation runs
+        *before* any mutation, so a raised :class:`AllocationError`
+        leaves the cluster untouched — no caller-side rollback.
         """
         count = len(node_ids)
         if count == 0:
@@ -275,8 +204,8 @@ class ClusterState:
         procs_arr = np.asarray(procs_list, dtype=np.int64)
         partitioned = self.partitioned
         # Vectorized validation: the whole-batch numpy checks decide
-        # pass/fail; only a failing batch walks the nodes again to raise
-        # the same per-node error the scalar path would.
+        # pass/fail; only a failing batch walks the nodes again to name
+        # the first offending node.
         bad = bool(np.any(procs_arr > old_free_arr))
         if partitioned:
             if ways < cols.min_ways:
@@ -413,11 +342,10 @@ class ClusterState:
         self._reindex_batch(node_ids, old_free, procs_list, -1)
 
     def remove_slices(self, node_ids: Sequence[int], job_id: int) -> None:
-        """Remove one job's slices from all its nodes in one batch
-        (semantically ``for nid in node_ids: remove(nid, ...)``, with a
-        single ``release_epoch`` bump — the epoch is only ever compared
-        for equality, so batching the bumps is observationally
-        identical).  Booked float columns are re-summed from the
+        """Remove one job's slices from all its nodes in one batch, with
+        a single ``release_epoch`` bump (the epoch is only ever compared
+        for equality, so one bump per batch is as good as one per
+        node).  Booked float columns are re-summed from the
         remaining residents in insertion order (float subtraction does
         not invert addition); a node left empty resets to exact zeros.
 
@@ -446,8 +374,8 @@ class ClusterState:
             bad = jcol != job_id
             if bool(bad.any()):
                 # Validation precedes any mutation, so the raise leaves
-                # the cluster untouched — same message the scalar path
-                # raises (an idle node's slot 0 holds the -1 sentinel).
+                # the cluster untouched (an idle node's slot 0 holds the
+                # -1 sentinel).
                 raise AllocationError(
                     f"job {job_id} not on node "
                     f"{node_ids[int(np.argmax(bad))]}"

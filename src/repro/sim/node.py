@@ -16,8 +16,10 @@ a second struct-of-arrays pool kept in lockstep with the node columns
 (DESIGN.md §7).  The columns are the **source of truth**: a
 :class:`NodeState` is a thin view over its column slot with *no* per-slice
 Python objects of its own, and the cluster's vectorized paths
-(``scan_hosts``, ``pick_idlest``, batched place/remove, arbitration view
-assembly) read and write the contiguous arrays directly.
+(``scan_hosts``, ``pick_idlest``, ``place_slices``/``remove_slices``,
+arbitration view assembly) read and write the contiguous arrays
+directly; the batched ``place_slices``/``remove_slices`` pair is the
+only path that mutates them.
 
 Float discipline (bit-identity with re-summed bookkeeping, enforced by
 ``tests/test_soa_columns.py``): booked bandwidth/network columns are
@@ -32,7 +34,7 @@ and ``x + 0.0`` is a bitwise no-op for the non-negative bookings).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -82,9 +84,6 @@ class NodeColumns:
         self.bw_eps = np.full(n, spec.peak_bw + 1e-9, dtype=np.float64)
         self.net_eps = np.full(n, 1.0 + 1e-9, dtype=np.float64)
 
-    def __len__(self) -> int:
-        return len(self.free_cores)
-
 
 class SliceColumns:
     """Struct-of-arrays per-slice state for a pool of nodes.
@@ -103,7 +102,7 @@ class SliceColumns:
     program reference and the placement width — live in ``meta``:
     ``job_id -> (program, n_nodes, slice_refcount)``.  The refcount
     tracks how many slices of the job are installed anywhere in the
-    pool, so scalar per-node place/remove keep it exact.
+    pool.
     """
 
     __slots__ = ("slots", "job", "procs", "ways", "bw", "net", "cross",
@@ -125,7 +124,7 @@ class SliceColumns:
         self.cross = np.zeros((n, slots + 1), dtype=np.float64)
         self.meta: Dict[int, Tuple[ProgramSpec, int, int]] = {}
         # Per-node cached arbitration signature (see NodeState.
-        # arb_signature) as an object column, so batched place/remove
+        # arb_signature) as an object column, so place_slices/remove_slices
         # install or drop whole cohorts of signatures with single
         # fancy-indexed writes instead of per-node attribute loops.
         self.sig = np.full(n, None, dtype=object)
@@ -133,7 +132,7 @@ class SliceColumns:
     def grow(self) -> None:
         """Double the resident-slot capacity (defensive: a node hosts at
         most ``cores`` slices when every slice pins ≥1 process, but
-        nothing in the scalar API forbids zero-process slices)."""
+        nothing in ``place_slices`` forbids zero-process slices)."""
         n = self.job.shape[0]
         new = self.slots * 2
         for name, fill in (("job", -1), ("procs", 0), ("ways", 0),
@@ -146,17 +145,15 @@ class SliceColumns:
 
 
 class NodeState:
-    """Mutable per-node bookkeeping: a view over one column slot.
+    """Read-only per-node view over one column slot of a
+    :class:`~repro.sim.cluster.ClusterState`, which builds one per node
+    and is the only writer of the columns behind it.
 
     ``enforce_bw`` models Intel-MBA-style hard bandwidth partitioning:
     a resident job's DRAM draw is clipped to its booking.  The paper's
     testbed lacked MBA (Section 4.4), so the default is estimation-only.
     ``share_residual`` controls the residual-way giveaway of Section 4.4;
     disabling it is an ablation knob.
-
-    A cluster-owned node shares its :class:`ClusterState`'s column pools
-    (``slot`` = node id); a standalone node (unit tests, ad-hoc use)
-    builds private single-slot pools.
     """
 
     __slots__ = (
@@ -164,31 +161,24 @@ class NodeState:
         "columns", "scols", "_slot",
     )
 
-    def __init__(self, node_id: int, spec: NodeSpec,
-                 partitioned: bool = True, enforce_bw: bool = False,
-                 share_residual: bool = True,
-                 columns: Optional[NodeColumns] = None,
-                 scols: Optional[SliceColumns] = None,
-                 slot: Optional[int] = None) -> None:
+    def __init__(self, node_id: int, spec: NodeSpec, partitioned: bool,
+                 enforce_bw: bool, share_residual: bool,
+                 columns: NodeColumns, scols: SliceColumns,
+                 slot: int) -> None:
         self.node_id = node_id
         self.spec = spec
         self.partitioned = partitioned
         self.enforce_bw = enforce_bw
         self.share_residual = share_residual
-        if columns is None:
-            columns = NodeColumns(1, spec)
-            slot = 0
-        if scols is None:
-            scols = SliceColumns(len(columns), spec.cores)
         self.columns = columns
         self.scols = scols
-        self._slot = node_id if slot is None else slot
+        self._slot = slot
         # The cached arbitration signature (see arb_signature) lives in
-        # ``scols.sig[slot]``: dropped on place/remove, rebuilt lazily
-        # from the slice columns.  Cohort placement (ClusterState.
-        # place_slices) installs a shared pre-assembled signature on
-        # previously-empty nodes instead, so hot-path nodes never pay
-        # the rebuild.
+        # ``scols.sig[slot]``.  ClusterState.place_slices installs a
+        # shared pre-assembled signature on previously-empty nodes and
+        # place_slices/remove_slices extend or shrink a current one in
+        # place, so hot-path nodes never pay the lazy rebuild from the
+        # slice columns.
 
     # -- capacity queries ----------------------------------------------------
 
@@ -281,120 +271,6 @@ class NodeState:
             return False
         return True
 
-    def place(self, job_id: int, program: ProgramSpec, procs: int,
-              ways: int, bw: float, n_nodes: int,
-              net: float = 0.0) -> None:
-        """Install a job slice on this node."""
-        cols = self.columns
-        sc = self.scols
-        slot = self._slot
-        n = int(cols.n_res[slot])
-        if job_id in sc.job[slot, :n].tolist():
-            raise AllocationError(f"job {job_id} already on node {self.node_id}")
-        free = int(cols.free_cores[slot])
-        if procs > free:
-            raise AllocationError(
-                f"node {self.node_id} has {free} free cores; "
-                f"{procs} requested"
-            )
-        if net < 0:
-            raise AllocationError("network booking must be non-negative")
-        if self.partitioned:
-            if ways < cols.min_ways:
-                raise AllocationError(
-                    f"job {job_id} requested {ways} ways; minimum is "
-                    f"{cols.min_ways} (associativity floor)"
-                )
-            parts = int(cols.parts[slot])
-            if parts >= cols.max_partitions:
-                raise AllocationError(
-                    f"node already has {parts} CAT partitions "
-                    f"(max {cols.max_partitions})"
-                )
-            free_ways = int(cols.free_ways[slot])
-            if ways > free_ways:
-                raise AllocationError(
-                    f"job {job_id} requested {ways} ways; "
-                    f"only {free_ways} free"
-                )
-            cols.free_ways[slot] -= ways
-            cols.parts[slot] += 1
-        if n >= sc.slots:
-            sc.grow()
-        sc.job[slot, n] = job_id
-        sc.procs[slot, n] = procs
-        if self.partitioned:
-            sc.ways[slot, n] = ways
-        if bw != 0.0:
-            sc.bw[slot, n] = bw
-        if net != 0.0:
-            sc.net[slot, n] = net
-        entry = sc.meta.get(job_id)
-        sc.meta[job_id] = (
-            program, n_nodes, 1 if entry is None else entry[2] + 1
-        )
-        cols.free_cores[slot] = free - procs
-        cols.n_res[slot] += 1
-        # Booked totals grow by one left-to-right addition (exact); the
-        # epsilon complements are recomputed with the same operation
-        # order as the scalar can_host expression.
-        if bw != 0.0:
-            cols.booked_bw[slot] += bw
-            cols.bw_eps[slot] = (cols.peak_bw - cols.booked_bw[slot]) + 1e-9
-        if net != 0.0:
-            cols.booked_net[slot] += net
-            cols.net_eps[slot] = (1.0 - cols.booked_net[slot]) + 1e-9
-        sc.sig[slot] = None
-
-    def remove(self, job_id: int) -> None:
-        """Remove a job slice (on completion)."""
-        cols = self.columns
-        sc = self.scols
-        slot = self._slot
-        n = int(cols.n_res[slot])
-        k = self._resident_slot(job_id)
-        if k < 0:
-            raise AllocationError(
-                f"job {job_id} not on node {self.node_id}"
-            )
-        procs = int(sc.procs[slot, k])
-        bw = float(sc.bw[slot, k])
-        net = float(sc.net[slot, k])
-        if self.partitioned:
-            cols.free_ways[slot] += sc.ways[slot, k]
-            cols.parts[slot] -= 1
-        # Compact the survivors left: slot order stays insertion order.
-        if k < n - 1:
-            sc.job[slot, k:n - 1] = sc.job[slot, k + 1:n]
-            sc.procs[slot, k:n - 1] = sc.procs[slot, k + 1:n]
-            sc.ways[slot, k:n - 1] = sc.ways[slot, k + 1:n]
-            sc.bw[slot, k:n - 1] = sc.bw[slot, k + 1:n]
-            sc.net[slot, k:n - 1] = sc.net[slot, k + 1:n]
-            sc.cross[slot, k:n - 1] = sc.cross[slot, k + 1:n]
-        sc.job[slot, n - 1] = -1
-        sc.procs[slot, n - 1] = 0
-        sc.ways[slot, n - 1] = 0
-        sc.bw[slot, n - 1] = 0.0
-        sc.net[slot, n - 1] = 0.0
-        sc.cross[slot, n - 1] = 0.0
-        entry = sc.meta[job_id]
-        if entry[2] <= 1:
-            del sc.meta[job_id]
-        else:
-            sc.meta[job_id] = (entry[0], entry[1], entry[2] - 1)
-        cols.free_cores[slot] += procs
-        cols.n_res[slot] -= 1
-        # Float bookings cannot be subtracted back out exactly: re-sum
-        # the remaining residents in insertion order (same order the
-        # totals were accumulated in).
-        if bw != 0.0:
-            cols.booked_bw[slot] = sum(sc.bw[slot, :n - 1].tolist())
-            cols.bw_eps[slot] = (cols.peak_bw - cols.booked_bw[slot]) + 1e-9
-        if net != 0.0:
-            cols.booked_net[slot] = sum(sc.net[slot, :n - 1].tolist())
-            cols.net_eps[slot] = (1.0 - cols.booked_net[slot]) + 1e-9
-        sc.sig[slot] = None
-
     # -- performance-model views ----------------------------------------------
 
     def effective_ways(self, job_id: int) -> float:
@@ -432,7 +308,7 @@ class NodeState:
         equal keys get bit-identical arbitration results.  Program
         identity is validated by the caller against the returned
         ``programs`` refs (stale-id defence).  The tuple is cached until
-        place/remove invalidates it.
+        place_slices/remove_slices invalidates it.
         """
         slot = self._slot
         sig = self.scols.sig[slot]

@@ -9,7 +9,7 @@ import copy
 import pytest
 
 from repro.config import SchedulerConfig, SimConfig, TraceConfig
-from repro.errors import AllocationError, HardwareModelError
+from repro.errors import HardwareModelError
 from repro.experiments.common import run_policy
 from repro.hardware.fabric import FabricSpec
 from repro.hardware.topology import ClusterSpec
@@ -87,10 +87,12 @@ class TestPickIdlestRackAware:
         # Racks 1 and 2 both fit the job; rack 2's nodes are busier,
         # so the pick confines to rack 1.
         cluster = _active_cluster()
-        cluster.place(4, 1, object(), 8, 0, 0.0, 1)
-        cluster.place(5, 1, object(), 8, 0, 0.0, 1)
+        cluster.place_slices([4], 1, object(), {4: 8}, 0, 0.0, 1)
+        cluster.place_slices([5], 1, object(), {5: 8}, 0, 0.0, 1)
         assert cluster.pick_idlest([2, 3, 4, 5], 2, 0.0,
                                    rack_aware=True) == [2, 3]
+        cluster.verify_index()
+        cluster.verify_columns()
 
     def test_tie_breaks_toward_fuller_racks(self):
         # No rack holds all three: equal-metric candidates order by
@@ -110,21 +112,13 @@ class TestPickIdlestRackAware:
             == [0, 2]
 
 
-class TestScalarGuards:
-    def test_scalar_place_rejects_network_booking(self):
+class TestLinkColumns:
+    def test_net_free_placement_books_no_cross(self):
         cluster = _active_cluster()
-        with pytest.raises(AllocationError, match="place_slices"):
-            cluster.place(0, 1, object(), 4, 0, 0.0, 2, net=0.25)
-        # Net-free scalar placement stays allowed.
-        cluster.place(0, 1, object(), 4, 0, 0.0, 2)
-
-    def test_scalar_remove_rejects_cross_slice(self):
-        cluster = _active_cluster()
-        cluster.place_slices([1, 2], 7, object(), {1: 4, 2: 4},
-                             0, 0.0, 2, net=0.25)
-        with pytest.raises(AllocationError, match="remove_slices"):
-            cluster.remove(1, 7)
-        cluster.remove_slices([1, 2], 7)
+        cluster.place_slices([0], 1, object(), {0: 4}, 0, 0.0, 2)
+        assert float(cluster.columns.booked_cross[0]) == 0.0
+        assert cluster.booked_spine == 0.0
+        cluster.verify_index()
         cluster.verify_columns()
 
 

@@ -186,10 +186,12 @@ class TestClusterAvailability:
 
     def test_fail_with_residents_rejected(self, testbed, ep):
         cluster = ClusterState(testbed)
-        cluster.place(0, job_id=7, program=ep, procs=4, ways=2, bw=0.0,
-                      n_nodes=1)
+        cluster.place_slices([0], job_id=7, program=ep, procs_per_node={0: 4},
+                             ways=2, bw=0.0, n_nodes=1)
         with pytest.raises(SimulationError, match="resident"):
             cluster.fail_node(0)
+        cluster.verify_index()
+        cluster.verify_columns()
 
 
 class TestJobEviction:

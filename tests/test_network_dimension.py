@@ -100,7 +100,8 @@ class TestManagedNetworkScheduling:
         def try_place(manage):
             cluster = ClusterState(cluster_spec, partitioned=True)
             for nid in (0, 1):  # resident chatty job: 0.7 link booked
-                cluster.place(nid, 1, chat, 4, 2, 1.0, 2, net=0.7)
+                cluster.place_slices([nid], 1, chat, {nid: 4}, 2, 1.0, 2,
+                                     net=0.7)
             config = SchedulerConfig(manage_network=manage)
             policy = SpreadNShareScheduler(cluster_spec, config)
             return policy.schedule_point(cluster, [job], 0.0)
@@ -109,11 +110,14 @@ class TestManagedNetworkScheduling:
         job2 = Job(job_id=9, program=chat, procs=32)
         cluster = ClusterState(cluster_spec, partitioned=True)
         for nid in (0, 1):
-            cluster.place(nid, 1, chat, 4, 2, 1.0, 2, net=0.7)
+            cluster.place_slices([nid], 1, chat, {nid: 4}, 2, 1.0, 2,
+                                 net=0.7)
         policy = SpreadNShareScheduler(
             cluster_spec, SchedulerConfig(manage_network=True)
         )
         assert policy.schedule_point(cluster, [job2], 0.0) == []
+        cluster.verify_index()
+        cluster.verify_columns()
 
     def test_unmanaged_network_books_nothing(self):
         cluster_spec = ClusterSpec(num_nodes=4)
@@ -127,11 +131,14 @@ class TestManagedNetworkScheduling:
         node_cluster = ClusterState(ClusterSpec(num_nodes=1),
                                     partitioned=True)
         node = node_cluster.node(0)
-        node_cluster.place(0, 1, chatty_program(), 8, 4, 10.0, 2, net=0.3)
+        node_cluster.place_slices([0], 1, chatty_program(), {0: 8}, 4, 10.0,
+                                  2, net=0.3)
         assert node.booked_net == pytest.approx(0.3)
         assert node.free_net == pytest.approx(0.7)
         assert node.can_host(4, 2, 0.0, net=0.7)
         assert not node.can_host(4, 2, 0.0, net=0.8)
+        node_cluster.verify_index()
+        node_cluster.verify_columns()
 
     def test_end_to_end_with_managed_network(self):
         """A full simulation with network management stays consistent."""

@@ -8,8 +8,8 @@ from repro.hardware.node_spec import NodeSpec
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel.contention import Slice, arbitrate_node
 from repro.scheduling.sns import SpreadNShareScheduler
+from repro.sim.cluster import ClusterState
 from repro.sim.job import Job
-from repro.sim.node import NodeState
 from repro.sim.runtime import Simulation
 from repro.workloads.sequences import clone_jobs
 
@@ -46,32 +46,43 @@ class TestBwCapArbitration:
             Slice(1, get_program("EP"), 8, 20.0, bw_cap=-1.0)
 
 
+def _one_node(**knobs) -> ClusterState:
+    return ClusterState(ClusterSpec(num_nodes=1, node=SPEC),
+                        partitioned=True, **knobs)
+
+
+def _verified(cluster: ClusterState) -> None:
+    cluster.verify_index()
+    cluster.verify_columns()
+
+
 class TestNodeKnobPlumbing:
     def test_enforce_bw_surfaces_in_slices(self):
-        node = NodeState(node_id=0, spec=SPEC, partitioned=True,
-                         enforce_bw=True)
-        node.place(1, get_program("MG"), 8, 4, 42.0, 1)
-        (s,) = node.slices()
+        cluster = _one_node(enforce_bw=True)
+        cluster.place_slices([0], 1, get_program("MG"), {0: 8}, 4, 42.0, 1)
+        (s,) = cluster.node(0).slices()
         assert s.bw_cap == pytest.approx(42.0)
+        _verified(cluster)
 
     def test_zero_booking_never_capped(self):
-        node = NodeState(node_id=0, spec=SPEC, partitioned=True,
-                         enforce_bw=True)
-        node.place(1, get_program("MG"), 8, 4, 0.0, 1)
-        (s,) = node.slices()
+        cluster = _one_node(enforce_bw=True)
+        cluster.place_slices([0], 1, get_program("MG"), {0: 8}, 4, 0.0, 1)
+        (s,) = cluster.node(0).slices()
         assert s.bw_cap is None
+        _verified(cluster)
 
     def test_no_enforcement_by_default(self):
-        node = NodeState(node_id=0, spec=SPEC, partitioned=True)
-        node.place(1, get_program("MG"), 8, 4, 42.0, 1)
-        (s,) = node.slices()
+        cluster = _one_node()
+        cluster.place_slices([0], 1, get_program("MG"), {0: 8}, 4, 42.0, 1)
+        (s,) = cluster.node(0).slices()
         assert s.bw_cap is None
+        _verified(cluster)
 
     def test_share_residual_off_gives_dedicated_only(self):
-        node = NodeState(node_id=0, spec=SPEC, partitioned=True,
-                         share_residual=False)
-        node.place(1, get_program("CG"), 8, 10, 0.0, 1)
-        assert node.effective_ways(1) == pytest.approx(10.0)
+        cluster = _one_node(share_residual=False)
+        cluster.place_slices([0], 1, get_program("CG"), {0: 8}, 10, 0.0, 1)
+        assert cluster.node(0).effective_ways(1) == pytest.approx(10.0)
+        _verified(cluster)
 
 
 class TestEndToEndKnobs:

@@ -1,5 +1,5 @@
 """PerfContext ownership: per-simulation kernel state, eviction policy,
-stats plumbing, cache-mode resolution, and thread-interleaved
+stats plumbing, cache-mode resolution, and interleaved-stepping
 bit-identity (DESIGN.md §9)."""
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from repro.experiments.parallel import run_grid
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel.context import PerfContext, resolve_cache_mode
 from repro.sim.job import Job
-from repro.sim.runtime import Simulation
-from repro.workloads.sequences import random_sequence
+from repro.sim.runtime import SchedulerCore, Simulation
+from repro.workloads.sequences import clone_jobs, random_sequence
 
 
 class TestContextIsolation:
@@ -49,7 +49,6 @@ class TestContextIsolation:
         jobs = random_sequence(seed=11, n_jobs=6)
 
         def build():
-            from repro.workloads.sequences import clone_jobs
             return Simulation.from_policy_name(
                 "SNS", spec, clone_jobs(jobs),
                 sim_config=SimConfig(telemetry=False, perf_caches=True),
@@ -168,16 +167,16 @@ class TestCacheModeResolution:
             import repro.perfmodel.memo  # noqa: F401
 
 
-def _run_point(task):
-    """One grid point: an independent simulation, private context."""
-    seed, caches = task
-    from repro.workloads.sequences import clone_jobs
-    spec = ClusterSpec(num_nodes=8)
-    jobs = random_sequence(seed=seed, n_jobs=10)
-    result = Simulation.from_policy_name(
-        "SNS", spec, clone_jobs(jobs),
+def _core(seed, caches):
+    """One seeded SNS run as an unstarted core with a private context."""
+    return SchedulerCore.from_policy_name(
+        "SNS", ClusterSpec(num_nodes=8),
+        clone_jobs(random_sequence(seed=seed, n_jobs=10)),
         sim_config=SimConfig(telemetry=False, perf_caches=caches),
-    ).run()
+    )
+
+
+def _fingerprint(result):
     return (
         result.makespan,
         result.mean_turnaround(),
@@ -186,36 +185,54 @@ def _run_point(task):
     )
 
 
+def _run_point(task):
+    """One grid point: an independent simulation run serially."""
+    seed, caches = task
+    return _fingerprint(_core(seed, caches).run())
+
+
+def _interleaved(*cores):
+    """Drive ``cores`` on this thread: start each, then step them in
+    strict rotation until all are drained, then finalize each."""
+    for core in cores:
+        core.start()
+    live = list(cores)
+    while live:
+        live = [core for core in live if core.step()]
+    return [_fingerprint(core.finalize()) for core in cores]
+
+
+def _boom(task):
+    raise ValueError(f"boom {task}")
+
+
 class TestThreadInterleaving:
-    """Simulations interleaving on threads are bit-identical to serial
-    runs — the whole point of killing process-global kernel state."""
+    """Simulations interleaved event batch by event batch on one thread
+    are bit-identical to serial runs — the whole point of killing
+    process-global kernel state.  The rotation is deterministic, so any
+    state two cores shared would show up on every run, not by chance."""
 
     @pytest.mark.parametrize("caches", [True, False])
-    def test_threaded_grid_matches_serial(self, caches):
-        tasks = [(seed, caches) for seed in (1, 5, 9, 13)]
-        serial = [_run_point(t) for t in tasks]
-        threaded = run_grid(_run_point, tasks, executor="threads", jobs=4)
-        assert threaded == serial
+    def test_interleaved_cores_match_serial(self, caches):
+        interleaved = _interleaved(_core(1, caches), _core(5, caches))
+        assert interleaved == [_run_point((1, caches)),
+                               _run_point((5, caches))]
 
     def test_mixed_cache_modes_interleave_safely(self):
-        """Fast and reference simulations running concurrently cannot
+        """Fast and reference simulations stepping alternately cannot
         flip each other's mode — and both match their serial twins."""
-        tasks = [(7, True), (7, False), (21, True), (21, False)]
-        threaded = run_grid(_run_point, tasks, executor="threads", jobs=4)
-        serial = [_run_point(t) for t in tasks]
-        assert threaded == serial
-        # Same seed, different mode: still bit-identical results.
-        assert threaded[0] == threaded[1]
-        assert threaded[2] == threaded[3]
+        for seed in (1, 5):
+            fast, ref = _interleaved(_core(seed, True), _core(seed, False))
+            assert fast == _run_point((seed, True))
+            assert ref == _run_point((seed, False))
+            # Same seed, different mode: still bit-identical results.
+            assert fast == ref
 
     def test_serial_fallback_and_order(self):
         tasks = [(3, True), (4, True)]
-        assert run_grid(_run_point, tasks, executor="threads", jobs=1) == \
+        assert run_grid(_run_point, tasks, jobs=1) == \
             [_run_point(t) for t in tasks]
 
     def test_worker_exception_propagates(self):
-        def boom(task):
-            raise ValueError(f"boom {task}")
-
         with pytest.raises(ValueError):
-            run_grid(boom, [1, 2], executor="threads", jobs=2)
+            run_grid(_boom, [1, 2], jobs=2)

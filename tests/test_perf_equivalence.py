@@ -213,7 +213,8 @@ class TestBatchedKernelEquivalence:
 
 
 class TestArbitrationCacheInvalidation:
-    """place/remove must evict the per-node arbitration entry."""
+    """place_slices/remove_slices must evict the per-node arbitration
+    entry."""
 
     @pytest.fixture
     def cluster(self, program):
@@ -221,7 +222,9 @@ class TestArbitrationCacheInvalidation:
             ClusterSpec(num_nodes=4), ctx=PerfContext(enabled=True)
         )
         self.program = program
-        return state
+        yield state
+        state.verify_index()
+        state.verify_columns()
 
     @pytest.fixture
     def program(self):
@@ -229,8 +232,8 @@ class TestArbitrationCacheInvalidation:
         return get_program("MG")
 
     def _place(self, cluster, node_id, job_id, procs=4):
-        cluster.place(
-            node_id, job_id, self.program, procs,
+        cluster.place_slices(
+            [node_id], job_id, self.program, {node_id: procs},
             cluster.spec.node.cache.min_ways, 10.0, 1,
         )
 
@@ -250,7 +253,7 @@ class TestArbitrationCacheInvalidation:
         self._place(cluster, 0, 1)
         self._place(cluster, 0, 2)
         before = cluster.arbitration(0)
-        cluster.remove(0, 2)
+        cluster.remove_slices([0], 2)
         after = cluster.arbitration(0)
         assert after is not before
         assert after[0] == (1,)
@@ -258,7 +261,7 @@ class TestArbitrationCacheInvalidation:
     def test_views_match_reference_after_churn(self, cluster):
         self._place(cluster, 0, 1)
         self._place(cluster, 0, 2)
-        cluster.remove(0, 1)
+        cluster.remove_slices([0], 1)
         self._place(cluster, 0, 3, procs=2)
         cached = cluster.arbitration(0)
         with cluster.ctx.disabled():
@@ -268,7 +271,7 @@ class TestArbitrationCacheInvalidation:
     def test_counters_consistent_with_fresh_sums(self, cluster):
         self._place(cluster, 1, 1)
         self._place(cluster, 1, 2, procs=6)
-        cluster.remove(1, 1)
+        cluster.remove_slices([1], 1)
         node = cluster.node(1)
         sc = cluster.scols
         n = node.cat_partitions
@@ -290,8 +293,7 @@ class TestParallelGrid:
         assert resolve_jobs(-1) >= 1
 
     def test_results_in_task_order(self):
-        assert run_grid(_square, [3, 1, 2],
-                        executor="processes", jobs=2) == [9, 1, 4]
+        assert run_grid(_square, [3, 1, 2], jobs=2) == [9, 1, 4]
 
     def test_serial_path_identical(self):
         tasks = list(range(5))
@@ -299,18 +301,11 @@ class TestParallelGrid:
 
     def test_executors_agree(self):
         tasks = [4, 2, 7, 1]
-        serial = run_grid(_square, tasks)
-        for executor in ("threads", "processes", "shard"):
-            assert run_grid(_square, tasks, executor=executor,
-                            jobs=2) == serial
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_grid(_square, [1, 2], executor="fibers", jobs=2)
+        assert run_grid(_square, tasks, jobs=2) == run_grid(_square, tasks)
 
     def test_worker_exception_propagates(self):
         with pytest.raises(ValueError):
-            run_grid(_explode, [1, 2], executor="processes", jobs=2)
+            run_grid(_explode, [1, 2], jobs=2)
         with pytest.raises(ValueError):
             run_grid(_explode, [1, 2])
 

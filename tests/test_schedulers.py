@@ -83,19 +83,25 @@ class TestCS:
         cluster = ClusterState(cluster_spec, partitioned=False)
         # Consume 20 cores on every node: 8 free each.
         for nid in range(4):
-            cluster.place(nid, 100 + nid, get_program("EP"), 20, 20, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, get_program("EP"),
+                                 {nid: 20}, 20, 0.0, 1)
         jobs = make_jobs(("WC", 16))
         (d,) = policy.schedule_point(cluster, jobs, 0.0)
         assert d.scale_factor == 2
         assert d.placement.n_nodes == 2
+        cluster.verify_index()
+        cluster.verify_columns()
 
     def test_single_node_program_never_spreads(self, cluster_spec):
         policy = CompactShareScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=False)
         for nid in range(4):
-            cluster.place(nid, 100 + nid, get_program("EP"), 20, 20, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, get_program("EP"),
+                                 {nid: 20}, 20, 0.0, 1)
         jobs = make_jobs(("GAN", 16))
         assert policy.schedule_point(cluster, jobs, 0.0) == []
+        cluster.verify_index()
+        cluster.verify_columns()
 
 
 class TestSNS:
@@ -144,11 +150,14 @@ class TestSNS:
         # Occupy 2 of 4 nodes fully: CG's ideal 2x still fits on the
         # remaining two; occupy 3 to force 1x.
         for nid in range(3):
-            cluster.place(nid, 100 + nid, get_program("EP"), 28, 18, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, get_program("EP"),
+                                 {nid: 28}, 18, 0.0, 1)
         jobs = make_jobs(("CG", 16))
         (d,) = sns.schedule_point(cluster, jobs, 0.0)
         assert d.scale_factor == 1
         assert d.placement.node_ids == (3,)
+        cluster.verify_index()
+        cluster.verify_columns()
 
     def test_respects_alpha_in_way_demand(self, cluster_spec):
         strict = SpreadNShareScheduler(cluster_spec)
@@ -165,10 +174,13 @@ class TestSNS:
     def test_delays_job_when_nothing_fits(self, sns, cluster_spec):
         cluster = ClusterState(cluster_spec, partitioned=True)
         for nid in range(4):
-            cluster.place(nid, 100 + nid, get_program("EP"), 28, 18, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, get_program("EP"),
+                                 {nid: 28}, 18, 0.0, 1)
         jobs = make_jobs(("CG", 16))
         assert sns.schedule_point(cluster, jobs, 0.0) == []
         assert jobs[0].times_passed_over == 1
+        cluster.verify_index()
+        cluster.verify_columns()
 
     def test_resource_compatible_colocation(self, sns, cluster_spec):
         """A bandwidth hog and a cache hog fit on one node because their
@@ -194,21 +206,27 @@ class TestAgingQueue:
         cluster = ClusterState(cluster_spec, partitioned=False)
         # Fill the cluster except one node.
         for nid in range(3):
-            cluster.place(nid, 100 + nid, get_program("EP"), 28, 20, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, get_program("EP"),
+                                 {nid: 28}, 20, 0.0, 1)
         big = make_jobs(("MG", 28 * 2))[0]   # needs 2 idle nodes
         big.times_passed_over = 1            # already at the age limit
         small = make_jobs(("EP", 16), start_id=1)[0]
         decisions = policy.schedule_point(cluster, [big, small], 0.0)
         # Head-of-line blocking: the small job must NOT jump the queue.
         assert decisions == []
+        cluster.verify_index()
+        cluster.verify_columns()
 
     def test_aged_job_ranks_first(self, cluster_spec):
         policy = CompactExclusiveScheduler(cluster_spec)
         cluster = ClusterState(cluster_spec, partitioned=False)
         for nid in range(3):
-            cluster.place(nid, 100 + nid, get_program("EP"), 28, 20, 0.0, 1)
+            cluster.place_slices([nid], 100 + nid, get_program("EP"),
+                                 {nid: 28}, 20, 0.0, 1)
         old = make_jobs(("EP", 16))[0]
         old.times_passed_over = 5
         new = make_jobs(("EP", 16), start_id=1)[0]
         decisions = policy.schedule_point(cluster, [new, old], 0.0)
         assert [d.job.job_id for d in decisions] == [0]
+        cluster.verify_index()
+        cluster.verify_columns()

@@ -3,15 +3,18 @@
 Covers the streaming :class:`SchedulerCore` contract (submit mid-run,
 snapshots, incremental results), the service-vs-batch bit-identity
 guarantee under concurrent multi-client submission in both cache modes,
-admission-queue backpressure, fault reporting, and the wire protocol
-(JSON lines and the minimal HTTP mapping on the same port).
+admission-queue backpressure, fault reporting, the wire protocol
+(JSON lines and the minimal HTTP mapping on the same port), and
+refusal of malformed input without harm to the service.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -26,6 +29,7 @@ from repro.service import (
     protocol,
     serve_in_thread,
 )
+from repro.service.master import LINE_LIMIT
 from repro.sim.runtime import SchedulerCore, Simulation
 from repro.workloads.sequences import clone_jobs, random_sequence
 
@@ -357,6 +361,63 @@ class TestHttpInterface:
                 assert json.loads(resp.read())["accepted"] == 1
             finally:
                 conn.close()
+
+
+def raw_exchange(handle, payload: bytes) -> bytes:
+    """Send ``payload`` on a fresh connection and read until the
+    service closes it."""
+    with socket.create_connection((handle.host, handle.port),
+                                  timeout=10) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+LONG = b"x" * (LINE_LIMIT + 10)
+PING = b'{"op":"ping"}\n'
+
+
+class TestMalformedInput:
+    """Nothing a client sends may crash the connection handler: each
+    bad input gets one refusal before the connection closes, and the
+    service keeps admitting and placing jobs afterwards."""
+
+    @pytest.mark.parametrize("payload, expect", [
+        (b"POST /submit HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+         b"HTTP/1.1 400 "),
+        (b"POST /submit HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+         b"HTTP/1.1 400 "),
+        (b"GET /" + LONG + b" HTTP/1.1\r\n\r\n", b"HTTP/1.1 413 "),
+        (b"GET /stats HTTP/1.1\r\nX-Pad: " + LONG + b"\r\n\r\n",
+         b"HTTP/1.1 413 "),
+        (b'{"op":"ping","pad":"' + LONG + b'"}\n', b'{"ok":false'),
+        (PING + b'{"op":"ping","pad":"' + LONG + b'"}\n',
+         b'{"ok":true,"pong":true}\n{"ok":false'),
+    ], ids=["cl-not-a-number", "cl-negative", "http-request-line",
+            "http-header-line", "json-first-line", "json-later-line"])
+    def test_refused_and_service_survives(self, payload, expect):
+        with live_service() as (master, handle):
+            reply = raw_exchange(handle, payload)
+            assert reply.startswith(expect), reply[:200]
+            with ServiceClient(handle.host, handle.port) as client:
+                client.submit(program="WC", procs=28)
+                deadline = time.monotonic() + 10
+                while client.latencies()["placed"] < 1:
+                    assert time.monotonic() < deadline, "job never placed"
+                    time.sleep(0.01)
+            conn = http.client.HTTPConnection(handle.host, handle.port,
+                                              timeout=10)
+            try:
+                conn.request("GET", "/stats")
+                stats = json.loads(conn.getresponse().read())
+            finally:
+                conn.close()
+            assert stats["fault"] is None
+            assert stats["accepted"] == 1
 
 
 class TestProtocol:

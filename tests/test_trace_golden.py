@@ -2,7 +2,7 @@
 
 The decisions-level trace of a seeded run is **byte-stable**: the
 canonical JSONL lines must be identical under the memoized fast path,
-the unmemoized reference kernels, thread-interleaved execution, and —
+the unmemoized reference kernels, interleaved stepping, and —
 because decision records are level-independent — inside higher-level
 traces.  ``tests/data/golden_trace_sns.jsonl`` pins the stream of one
 seeded 4-node / 8-job SNS run; any diff against it means the scheduler
@@ -20,10 +20,9 @@ from pathlib import Path
 import pytest
 
 from repro.config import SimConfig, TraceConfig
-from repro.experiments.common import run_policy
-from repro.experiments.parallel import run_grid
 from repro.hardware.topology import ClusterSpec
 from repro.obs import decision_stream, read_jsonl, trace_lines, verify_trace
+from repro.sim.runtime import SchedulerCore
 from repro.workloads.sequences import random_sequence
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_sns.jsonl"
@@ -32,9 +31,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden_trace_sns.jsonl"
 SEED, N_JOBS, NODES = 7, 8, 4
 
 
-def golden_lines(caches=None, level="decisions"):
-    """The scenario's decisions-level stream as canonical JSONL lines."""
-    result = run_policy(
+def golden_core(caches=None, level="decisions"):
+    """The pinned scenario as an unstarted, traced core."""
+    return SchedulerCore.from_policy_name(
         "SNS",
         ClusterSpec(num_nodes=NODES),
         random_sequence(seed=SEED, n_jobs=N_JOBS),
@@ -43,7 +42,16 @@ def golden_lines(caches=None, level="decisions"):
             trace=TraceConfig(level=level),
         ),
     )
-    return list(trace_lines(decision_stream(result.trace.events)))
+
+
+def decision_lines(tracer):
+    """A trace's decision stream as canonical JSONL lines."""
+    return list(trace_lines(decision_stream(tracer.events)))
+
+
+def golden_lines(caches=None, level="decisions"):
+    """The scenario's decisions-level stream as canonical JSONL lines."""
+    return decision_lines(golden_core(caches, level).run().trace)
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +79,19 @@ class TestGoldenTrace:
         assert golden_lines(level="full") == committed
 
     def test_byte_stable_under_thread_interleaving(self, committed):
-        """Four copies interleaved on a thread pool each reproduce the
-        committed stream (per-simulation tracer + perf context: no
-        shared observability state to race on)."""
-        streams = run_grid(
-            lambda caches: golden_lines(caches=caches),
-            [None, False, None, False], executor="threads", jobs=4,
-        )
-        for stream in streams:
-            assert stream == committed
+        """Two cores stepped alternately on one thread — one memoized,
+        one on the reference kernels — each reproduce the committed
+        stream (per-simulation tracer + perf context: no shared
+        observability state for one run to leak into the other)."""
+        cores = [golden_core(caches=True), golden_core(caches=False)]
+        for core in cores:
+            core.start()
+        live = list(cores)
+        while live:
+            live = [core for core in live if core.step()]
+        for core in cores:
+            core.finalize()
+            assert decision_lines(core.tracer) == committed
 
     def test_golden_file_is_replayable(self, committed):
         """The committed artifact itself parses and passes every

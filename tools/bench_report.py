@@ -8,7 +8,7 @@ event loop show up as numbers, not vibes:
 
     PYTHONPATH=src python tools/bench_report.py [--label after]
     PYTHONPATH=src python tools/bench_report.py --no-caches --label ref
-    PYTHONPATH=src python tools/bench_report.py --threads 4
+    PYTHONPATH=src python tools/bench_report.py --jobs 2
     PYTHONPATH=src python tools/bench_report.py --trace-gate
 
 ``--trace-gate`` runs the grid twice — untraced, then with a
@@ -23,13 +23,12 @@ coalesced events, skip-index hits, nodes scanned — see DESIGN.md §7),
 plus the grid total.  Existing entries under other labels are
 preserved, so a before/after pair can live side by side.
 
-``--threads N`` runs the grid on the thread executor of the unified
-runner (:func:`repro.experiments.parallel.run_grid` with
-``executor="threads"``): every
-simulation owns a private :class:`~repro.perfmodel.context.PerfContext`,
-so interleaved runs must be bit-identical to serial ones — the
-divergence gate below enforces exactly that against any serial entry
-already in BENCH_sim.json.
+``--jobs N`` fans the grid out over N worker processes
+(:func:`repro.experiments.parallel.run_grid`): every simulation owns a
+private :class:`~repro.perfmodel.context.PerfContext`, so parallel runs
+must be bit-identical to serial ones — the divergence gate below
+enforces exactly that against any serial entry already in
+BENCH_sim.json.
 
 Every fast path in the simulator is required to be *bit-identical* to
 the reference kernels, so after timing, this script cross-checks the
@@ -99,7 +98,7 @@ COUNTER_COLUMNS = (
 def _run_one(task: tuple) -> dict:
     """One grid point: an independent simulation with a private
     PerfContext (``SimConfig.perf_caches`` picks the cache mode), so
-    this worker is safe to run on any thread.
+    it can run in any worker process.
 
     With ``trace=True`` the run carries a full-level tracer (the
     maximum-observability configuration: every record kind plus the
@@ -145,17 +144,14 @@ def _run_one(task: tuple) -> dict:
     return entry
 
 
-def run_grid(caches: bool = True, threads: int = 1, processes: int = 1,
-             verbose: bool = True, trace: bool = False,
-             chrome_out: Optional[str] = None, full: bool = False) -> dict:
+def run_grid(caches: bool = True, jobs: int = 1, verbose: bool = True,
+             trace: bool = False, chrome_out: Optional[str] = None,
+             full: bool = False) -> dict:
     """Run the smoke grid once; returns the BENCH_sim entry payload.
 
-    ``threads > 1`` interleaves the grid points on a thread pool
-    (``run_grid(..., executor="threads")``) and ``processes > 1``
-    shards them across forked worker processes
-    (``executor="shard"``); either way the
-    per-config results are bit-identical to a serial run by the
-    state-ownership contract (DESIGN.md §9).  ``trace=True`` runs every
+    ``jobs > 1`` fans the grid points out over that many worker
+    processes; the per-config results are bit-identical to a serial run
+    by the state-ownership contract (DESIGN.md §9).  ``trace=True`` runs every
     grid point with a full-level tracer and replays each trace through
     the invariant checker; ``chrome_out`` additionally exports the first
     SNS config's Chrome trace.  ``full=True`` swaps in the full-scale
@@ -170,11 +166,11 @@ def run_grid(caches: bool = True, threads: int = 1, processes: int = 1,
         grid_name = "fig20-smoke 2x2x2"
     tasks: List[list] = []
     for ratio in ratios:
-        jobs = synthesize_trace(seed=SEED, scaling_ratio=ratio,
-                                config=trace_config)
+        trace_jobs = synthesize_trace(seed=SEED, scaling_ratio=ratio,
+                                      config=trace_config)
         for nodes in sizes:
             for policy in POLICIES:
-                tasks.append([ratio, nodes, policy, jobs, caches,
+                tasks.append([ratio, nodes, policy, trace_jobs, caches,
                               trace, None])
     if chrome_out is not None:
         for task in tasks:
@@ -183,14 +179,7 @@ def run_grid(caches: bool = True, threads: int = 1, processes: int = 1,
                 break
     tasks = [tuple(t) for t in tasks]
     start = time.perf_counter()
-    if processes > 1:
-        configs = run_grid_tasks(_run_one, tasks, executor="shard",
-                                 jobs=processes)
-    elif threads > 1:
-        configs = run_grid_tasks(_run_one, tasks, executor="threads",
-                                 jobs=threads)
-    else:
-        configs = run_grid_tasks(_run_one, tasks)
+    configs = run_grid_tasks(_run_one, tasks, jobs=jobs)
     elapsed = time.perf_counter() - start
     total_events = sum(c["events"] for c in configs)
     if verbose:
@@ -200,15 +189,14 @@ def run_grid(caches: bool = True, threads: int = 1, processes: int = 1,
                   f"{c['wall_s']:6.2f}s  {c['events']} events  "
                   f"{c['events_per_s']:7.0f} ev/s")
     # Serial entries report summed per-config wall time (comparable to
-    # older entries); threaded/sharded entries report overall elapsed,
-    # since per-config clocks overlap.
-    total_wall = elapsed if threads > 1 or processes > 1 \
+    # older entries); parallel entries report overall elapsed, since
+    # per-config clocks overlap.
+    total_wall = elapsed if jobs > 1 \
         else sum(c["wall_s"] for c in configs)
     return {
         "grid": grid_name,
         "caches": caches,
-        "threads": threads,
-        "processes": processes,
+        "jobs": jobs,
         "trace": trace,
         "total_wall_s": round(total_wall, 4),
         "total_events": total_events,
@@ -223,7 +211,7 @@ def check_divergence(report: dict, label: str) -> List[str]:
     All entries replay the same traces with the same seed, so their
     per-configuration makespans and mean turnarounds must agree exactly
     — fast paths are contractually bit-identical to the reference, and
-    thread-interleaved runs to serial ones.  Returns a list of
+    parallel runs to serial ones.  Returns a list of
     human-readable divergence descriptions (empty when everything
     matches).
     """
@@ -313,13 +301,13 @@ def run_trace_gate(args: argparse.Namespace) -> int:
     plain = traced = None
     for rep in range(2):
         print(f"untraced pass {rep + 1}:")
-        entry = run_grid(caches=True, threads=1, verbose=rep == 0)
+        entry = run_grid(caches=True, verbose=rep == 0)
         print(f"  total {entry['total_wall_s']:.2f}s")
         if plain is None or entry["total_wall_s"] < plain["total_wall_s"]:
             plain = entry
         print(f"traced pass {rep + 1} (full level):")
-        entry = run_grid(caches=True, threads=1, verbose=rep == 0,
-                         trace=True, chrome_out=args.chrome_out)
+        entry = run_grid(caches=True, verbose=rep == 0, trace=True,
+                         chrome_out=args.chrome_out)
         print(f"  total {entry['total_wall_s']:.2f}s")
         if traced is None \
                 or entry["total_wall_s"] < traced["total_wall_s"]:
@@ -466,17 +454,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default=None,
                         help="entry name in BENCH_sim.json "
-                             "(default: current, or threadsN)")
+                             "(default: current, or jobsN)")
     parser.add_argument("--no-caches", action="store_true",
                         help="benchmark the unmemoized reference path")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="run the grid on an N-thread pool and gate "
-                             "bit-identity against serial entries")
-    parser.add_argument("--processes", type=int, default=1, metavar="N",
-                        help="shard the grid across N forked worker "
-                             "processes (shared-memory result buffers) "
-                             "and gate bit-identity against serial "
-                             "entries")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="run the grid on N worker processes and "
+                             "gate bit-identity against serial entries")
     parser.add_argument("--full", action="store_true",
                         help="run the full-scale Fig 20 grid instead of "
                              "the smoke grid: the complete 7,044-job "
@@ -518,26 +501,15 @@ def main(argv=None) -> int:
     caches = not args.no_caches
     label: Optional[str] = args.label
     if label is None:
-        if args.processes > 1:
-            label = f"processes{args.processes}"
-        elif args.threads > 1:
-            label = f"threads{args.threads}"
-        else:
-            label = "current"
+        label = f"jobs{args.jobs}" if args.jobs > 1 else "current"
         if args.full:
             label = "fig20-full" if label == "current" \
                 else f"fig20-full-{label}"
-    if args.processes > 1:
-        mode = f"{args.processes} processes"
-    elif args.threads > 1:
-        mode = f"{args.threads} threads"
-    else:
-        mode = "serial"
+    mode = f"{args.jobs} processes" if args.jobs > 1 else "serial"
     scale = "full" if args.full else "smoke"
     print(f"benchmarking fig20 {scale} grid "
           f"(caches {'on' if caches else 'off'}, {mode}) ...")
-    entry = run_grid(caches=caches, threads=args.threads,
-                     processes=args.processes, full=args.full)
+    entry = run_grid(caches=caches, jobs=args.jobs, full=args.full)
     print(f"total: {entry['total_wall_s']:.2f}s, "
           f"{entry['events_per_s']:.0f} events/s")
 
