@@ -9,10 +9,10 @@ into numpy arrays, the elementwise algebra (LLC capacity, demand,
 MBA clipping, grant scaling) runs vectorized, and only the per-node
 segment reductions stay in Python.
 
-All kernel state — the memoized curve evaluations and the batch
-counters — lives on the :class:`repro.perfmodel.context.PerfContext`
-passed by the caller; the module itself is stateless, so concurrent
-simulations never share or race on anything here.
+All kernel state — the batch counters — lives on the
+:class:`repro.perfmodel.context.PerfContext` passed by the caller; the
+module itself is stateless, so concurrent simulations never share or
+race on anything here.
 
 Bit-identity with the scalar reference is a hard requirement (the
 equivalence gate in ``tests/test_perf_equivalence.py``), which dictates
@@ -53,13 +53,13 @@ def arbitrate_nodes(
     if not ctx.enabled:
         return [
             (
-                arbitrate_node(spec, slices, ctx=ctx),
+                arbitrate_node(spec, slices),
                 node_network_load(spec, slices),
             )
             for slices in tables
         ]
 
-    counters = ctx.batch_counters
+    counters = ctx.counters
     counters["batch_calls"] += 1
     counters["batch_nodes"] += len(tables)
 
@@ -93,8 +93,8 @@ def arbitrate_nodes(
     core_peak = spec.bandwidth.core_peak
     per_proc = np.array(
         [
-            ctx.demand_gbps_per_proc(s.program, caps_list[i], s.n_nodes,
-                                     core_peak)
+            s.program.demand_gbps_per_proc(caps_list[i], s.n_nodes,
+                                           core_peak_bw=core_peak)
             for i, s in enumerate(flat)
         ],
         dtype=np.float64,

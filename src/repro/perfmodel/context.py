@@ -1,12 +1,10 @@
 """Per-simulation performance-model context.
 
 :class:`PerfContext` owns every piece of mutable kernel state the fast
-paths of the simulator rely on: the five exact memoization caches of the
-performance model (demand curves, process rates, node arbitration,
-network fractions, bandwidth supply), their hit/miss statistics, the
-batched-kernel counters, the ``max_entries`` eviction policy, and the
-``enabled`` flag that routes every call to the unmemoized reference
-kernels when cleared.
+paths of the simulator rely on: the exact process-rate memo, the run's
+counter dict (:data:`COUNTER_NAMES`), the ``max_entries`` eviction
+policy, and the ``enabled`` flag that routes every call to the
+unmemoized reference kernels when cleared.
 
 Each :class:`repro.sim.runtime.Simulation` constructs its own context
 and threads it through every layer that consults kernel state
@@ -14,17 +12,20 @@ and threads it through every layer that consults kernel state
 ``job_time`` / ``arbitrate_nodes`` as an explicit argument).  Nothing is
 process-global: two simulations in one process — including two whose
 cores are stepped alternately — can never observe each other's cache
-entries, statistics, or cache-mode flag, so an interleaved run is
+entries, counters, or cache-mode flag, so an interleaved run is
 bit-identical to a serial one by construction
 (``tests/test_perf_context.py`` steps two cores in rotation and checks
-exactly that).
+exactly that).  Every layer writes its counters into the one
+``counters`` dict, so a policy object reused for a second run reports
+that run's counts only.
 
-Cache semantics are unchanged from the original module-global design
-(see DESIGN.md §7): every cache is exact — a hit returns the
-bit-identical float the reference computation would produce — programs
-are keyed by identity with strong references held and verified with
-``is`` on lookup, and node arbitration is keyed by the order-preserving
-slice signature.
+The rate memo is exact (see DESIGN.md §7): a hit returns the
+bit-identical float the reference computation would produce, and
+programs are keyed by identity with strong references held and
+verified with ``is`` on lookup.  ``node_arbitration``,
+``network_fraction`` and ``bandwidth_supply`` are uncached kernel
+calls; they stay methods because they are the perf-model layer
+boundary that ``perfbench/spans.py`` wraps by name.
 
 Cache mode is resolved once per simulation by
 :func:`resolve_cache_mode`: ``SimConfig.perf_caches`` is the only
@@ -39,11 +40,36 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.hardware.node_spec import NodeSpec
+from repro.perfmodel.contention import arbitrate_node, node_network_load
+from repro.perfmodel.execution import NodeConditions
+from repro.perfmodel.execution import process_rate as _reference_rate
 
 #: Default safety valve: a cache that somehow exceeds this many entries
-#: is cleared wholesale (distinct signatures are bounded in practice, so
-#: this should never trigger outside adversarial workloads).
+#: is cleared wholesale (distinct keys are bounded in practice, so this
+#: should never trigger outside adversarial workloads).
 MAX_ENTRIES = 1 << 20
+
+#: Every counter a run reports, each starting at 0 (DESIGN.md §10).
+#: ``SimulationResult.counters`` is a copy of the context's dict plus
+#: ``events``.
+COUNTER_NAMES: Tuple[str, ...] = (
+    # runtime event loop and fault handling (repro.sim.runtime)
+    "event_batches", "events_coalesced", "refresh_cycles",
+    "nodes_refreshed", "node_failures", "node_recoveries",
+    "job_evictions", "job_retries", "jobs_failed", "profile_outages",
+    # cluster arbitration and placement search (repro.sim.cluster,
+    # repro.scheduling.placement)
+    "view_cache_hits", "arb_nodes_solved", "nodes_scanned",
+    "find_fail_hits", "scan_cache_hits",
+    # scheduling queue (repro.scheduling.base / sns)
+    "try_place_calls", "jobs_skipped", "demand_cache_hits",
+    # perf-model kernels: rate memo, batched arbitration, vectorized
+    # curves and finish updates, fabric link accounting
+    "memo_rate_hits", "memo_rate_misses",
+    "batch_calls", "batch_nodes", "batch_slices",
+    "vec_curve_evals", "vec_finish_updates",
+    "fabric_link_refreshes", "fabric_route_evals",
+)
 
 
 def resolve_cache_mode(perf_caches: Optional[bool] = None) -> bool:
@@ -58,79 +84,24 @@ def resolve_cache_mode(perf_caches: Optional[bool] = None) -> bool:
     return True
 
 
-def slice_signature(slices: Sequence) -> tuple:
-    """Job-id-independent signature of a node's slice sequence.
-
-    The signature is *order-preserving*, not sorted: bandwidth
-    arbitration sums demands in slice order, and floating-point addition
-    is not associative, so canonicalizing the order could alias two
-    nodes whose reference results differ in the last ulp.  Nodes that
-    receive the same job mix in the same order — the case mass-produced
-    by wide-job placement on big clusters — share an entry either way.
-    """
-    return tuple(
-        (
-            s.program.name, id(s.program), s.procs, s.effective_ways,
-            s.n_nodes, -1.0 if s.bw_cap is None else s.bw_cap,
-        )
-        for s in slices
-    )
-
-
 class PerfContext:
     """All mutable perf-model kernel state of one simulation.
 
-    The kernel wrappers (:meth:`demand_gbps_per_proc`,
-    :meth:`process_rate`, :meth:`node_arbitration`,
-    :meth:`network_fraction`, :meth:`bandwidth_supply`) are exact
-    caches: with ``enabled`` cleared they route straight to the
-    reference kernels, and a hit always returns the bit-identical value
-    the reference would produce.
+    :meth:`process_rate` is an exact cache: with ``enabled`` cleared it
+    routes straight to the reference kernel, and a hit always returns
+    the bit-identical value the reference would produce.
     """
 
-    __slots__ = (
-        "enabled", "max_entries",
-        "_demand_cache", "_rate_cache", "_node_cache",
-        "_net_cache", "_supply_cache",
-        "_stats", "batch_counters",
-    )
+    __slots__ = ("enabled", "max_entries", "_rate_cache", "counters")
 
     def __init__(self, enabled: bool = True,
                  max_entries: int = MAX_ENTRIES) -> None:
         self.enabled = bool(enabled)
         self.max_entries = max_entries
-        # (id(program), capacity_mb, n_nodes, core_peak) -> (program, demand)
-        self._demand_cache: Dict[tuple, tuple] = {}
         # (id(program), procs, capacity_mb, granted, n_nodes) -> (program, rate)
         self._rate_cache: Dict[tuple, tuple] = {}
-        # (id(spec), signature) -> (spec, programs, grants, net_load)
-        self._node_cache: Dict[tuple, tuple] = {}
-        # (id(program), n_nodes) -> (program, network fraction)
-        self._net_cache: Dict[tuple, tuple] = {}
-        # (id(spec), total_procs) -> (spec, aggregate supply GB/s)
-        self._supply_cache: Dict[tuple, tuple] = {}
-        self._stats = {
-            "demand": [0, 0], "rate": [0, 0], "node": [0, 0],
-            "net": [0, 0], "supply": [0, 0],
-        }  # [hits, misses]
-        #: Batched-kernel instrumentation: arbitration batch calls,
-        #: nodes and slices solved (repro.perfmodel.batch), plus
-        #: vectorized curve-kernel evaluations (repro.perfmodel.
-        #: curves_vec), batched finish-time updates (the runtime's
-        #: refresh hot path), and fabric link-state recomputations /
-        #: per-job route-load evaluations (DESIGN.md §13; zero unless
-        #: the cluster runs an active leaf-spine fabric).
-        self.batch_counters: Dict[str, int] = {
-            "batch_calls": 0, "batch_nodes": 0, "batch_slices": 0,
-            "vec_curve_evals": 0, "vec_finish_updates": 0,
-            "fabric_link_refreshes": 0, "fabric_route_evals": 0,
-        }
-
-    # -- mode control -------------------------------------------------------
-
-    def set_enabled(self, flag: bool) -> None:
-        """Enable/disable the memoized fast path (debug knob)."""
-        self.enabled = bool(flag)
+        #: The run's counters, one dict for every layer.
+        self.counters: Dict[str, int] = dict.fromkeys(COUNTER_NAMES, 0)
 
     @contextmanager
     def disabled(self) -> Iterator[None]:
@@ -142,173 +113,51 @@ class PerfContext:
         finally:
             self.enabled = previous
 
-    # -- bookkeeping --------------------------------------------------------
-
-    def clear(self) -> None:
-        """Drop every cached kernel result (and reset all statistics)."""
-        self._demand_cache.clear()
-        self._rate_cache.clear()
-        self._node_cache.clear()
-        self._net_cache.clear()
-        self._supply_cache.clear()
-        for counters in self._stats.values():
-            counters[0] = counters[1] = 0
-        for key in self.batch_counters:
-            self.batch_counters[key] = 0
-
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Hit/miss/size counters per cache (for benchmarks and tests)."""
-        sizes = {
-            "demand": len(self._demand_cache),
-            "rate": len(self._rate_cache),
-            "node": len(self._node_cache),
-            "net": len(self._net_cache),
-            "supply": len(self._supply_cache),
-        }
-        return {
-            name: {"hits": h, "misses": m, "size": sizes[name]}
-            for name, (h, m) in self._stats.items()
-        }
-
-    def counters(self) -> Dict[str, int]:
-        """Flat memo hit/miss + batched-kernel counters, in the key
-        scheme ``SimulationResult.counters`` reports (``memo_*_hits``,
-        ``memo_*_misses``, ``batch_*``)."""
-        out: Dict[str, int] = {}
-        for name, (hits, misses) in self._stats.items():
-            out[f"memo_{name}_hits"] = hits
-            out[f"memo_{name}_misses"] = misses
-        out.update(self.batch_counters)
-        return out
+        """Hit/miss/size of the rate memo (for benchmarks and tests)."""
+        return {"rate": {
+            "hits": self.counters["memo_rate_hits"],
+            "misses": self.counters["memo_rate_misses"],
+            "size": len(self._rate_cache),
+        }}
 
     # -- kernel wrappers ----------------------------------------------------
-
-    def demand_gbps_per_proc(self, program, capacity_mb: float,
-                             n_nodes: int, core_peak: float) -> float:
-        """Memoized ``program.demand_gbps_per_proc`` curve evaluation."""
-        if not self.enabled:
-            return program.demand_gbps_per_proc(
-                capacity_mb, n_nodes, core_peak_bw=core_peak
-            )
-        key = (id(program), capacity_mb, n_nodes, core_peak)
-        cache = self._demand_cache
-        hit = cache.get(key)
-        if hit is not None and hit[0] is program:
-            self._stats["demand"][0] += 1
-            return hit[1]
-        value = program.demand_gbps_per_proc(
-            capacity_mb, n_nodes, core_peak_bw=core_peak
-        )
-        if len(cache) >= self.max_entries:
-            cache.clear()
-        cache[key] = (program, value)
-        self._stats["demand"][1] += 1
-        return value
 
     def process_rate(self, program, procs: int, capacity_mb: float,
                      granted: float, n_nodes: int) -> float:
         """Memoized per-process roofline rate (``net_load`` does not
         affect the rate, so it is excluded from the key)."""
-        from repro.perfmodel.execution import NodeConditions
-        from repro.perfmodel.execution import process_rate as _reference
-
         if not self.enabled:
-            return _reference(
+            return _reference_rate(
                 program, NodeConditions(procs, capacity_mb, granted), n_nodes
             )
         key = (id(program), procs, capacity_mb, granted, n_nodes)
         cache = self._rate_cache
         hit = cache.get(key)
         if hit is not None and hit[0] is program:
-            self._stats["rate"][0] += 1
+            self.counters["memo_rate_hits"] += 1
             return hit[1]
-        value = _reference(
+        value = _reference_rate(
             program, NodeConditions(procs, capacity_mb, granted), n_nodes
         )
         if len(cache) >= self.max_entries:
             cache.clear()
         cache[key] = (program, value)
-        self._stats["rate"][1] += 1
+        self.counters["memo_rate_misses"] += 1
         return value
 
     def node_arbitration(
         self, spec: NodeSpec, slices: Sequence
     ) -> Tuple[Dict[int, float], float]:
-        """Memoized ``(arbitrate_node, node_network_load)`` pair for one
-        node's slice set.  Grants are cached positionally (signature
-        order) and mapped back to the querying node's actual job ids."""
-        from repro.perfmodel.contention import (
-            arbitrate_node,
-            node_network_load,
-        )
-
-        if not slices:
-            return {}, 0.0
-        if not self.enabled:
-            return (
-                arbitrate_node(spec, slices, ctx=self),
-                node_network_load(spec, slices),
-            )
-        key = (id(spec), slice_signature(slices))
-        cache = self._node_cache
-        hit = cache.get(key)
-        if hit is not None and hit[0] is spec and all(
-            p is s.program for p, s in zip(hit[1], slices)
-        ):
-            self._stats["node"][0] += 1
-            grants_by_pos, net_load = hit[2], hit[3]
-            return (
-                {s.job_id: g for s, g in zip(slices, grants_by_pos)},
-                net_load,
-            )
-        grants = arbitrate_node(spec, slices, ctx=self)
-        net_load = node_network_load(spec, slices)
-        entry = (
-            spec,
-            tuple(s.program for s in slices),
-            tuple(grants[s.job_id] for s in slices),
-            net_load,
-        )
-        if len(cache) >= self.max_entries:
-            cache.clear()
-        cache[key] = entry
-        self._stats["node"][1] += 1
-        return grants, net_load
+        """``(arbitrate_node, node_network_load)`` for one node's slices."""
+        return arbitrate_node(spec, slices), node_network_load(spec, slices)
 
     def network_fraction(self, program, n_nodes: int) -> float:
-        """Memoized ``program.comm.network_fraction`` evaluation (the
-        value behind :func:`repro.perfmodel.contention.node_network_load`)."""
-        if not self.enabled:
-            return program.comm.network_fraction(n_nodes)
-        key = (id(program), n_nodes)
-        cache = self._net_cache
-        hit = cache.get(key)
-        if hit is not None and hit[0] is program:
-            self._stats["net"][0] += 1
-            return hit[1]
-        value = program.comm.network_fraction(n_nodes)
-        if len(cache) >= self.max_entries:
-            cache.clear()
-        cache[key] = (program, value)
-        self._stats["net"][1] += 1
-        return value
+        """``program.comm.network_fraction`` (the value behind
+        :func:`repro.perfmodel.contention.node_network_load`)."""
+        return program.comm.network_fraction(n_nodes)
 
     def bandwidth_supply(self, spec: NodeSpec, total_procs: int) -> float:
-        """Memoized ``spec.bandwidth.aggregate(total_procs)`` — the
-        node's saturating DRAM supply is a pure function of the active
-        core count, and arbitration evaluates it for every dirty node of
-        every refresh."""
-        if not self.enabled:
-            return spec.bandwidth.aggregate(total_procs)
-        key = (id(spec), total_procs)
-        cache = self._supply_cache
-        hit = cache.get(key)
-        if hit is not None and hit[0] is spec:
-            self._stats["supply"][0] += 1
-            return hit[1]
-        value = spec.bandwidth.aggregate(total_procs)
-        if len(cache) >= self.max_entries:
-            cache.clear()
-        cache[key] = (spec, value)
-        self._stats["supply"][1] += 1
-        return value
+        """The node's saturating DRAM supply for ``total_procs`` active
+        cores."""
+        return spec.bandwidth.aggregate(total_procs)

@@ -78,7 +78,7 @@ class PackedCurves:
         x = np.asarray(x, dtype=np.float64)
         q = x.shape[0]
         if ctx is not None:
-            ctx.batch_counters["vec_curve_evals"] += q
+            ctx.counters["vec_curve_evals"] += q
         rows = np.arange(q)
         xs = self.xs[idx]
         ys = self.ys[idx]
@@ -117,7 +117,7 @@ class PackedCurves:
         target = np.asarray(target, dtype=np.float64)
         q = target.shape[0]
         if ctx is not None:
-            ctx.batch_counters["vec_curve_evals"] += q
+            ctx.counters["vec_curve_evals"] += q
         rows = np.arange(q)
         xs = self.xs[idx]
         ys = self.ys[idx]

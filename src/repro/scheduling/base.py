@@ -65,12 +65,6 @@ class BaseScheduler(abc.ABC):
         self._skip: Dict[int, Tuple[tuple, Optional[int]]] = {}
         self._skip_cluster: Optional[ClusterState] = None
         self._fail_watermark: Optional[int] = None
-        #: Queue instrumentation, surfaced on SimulationResult.
-        self.counters: Dict[str, int] = {
-            "try_place_calls": 0,
-            "jobs_skipped": 0,
-            "demand_cache_hits": 0,
-        }
 
     def _feasibility_version(self):
         """Version of policy-internal state that can flip a pending
@@ -126,8 +120,10 @@ class BaseScheduler(abc.ABC):
         decisions: List[Decision] = []
         skipped: List[Job] = []
         # The cluster carries the simulation's PerfContext (construction
-        # injection, DESIGN.md §9); the skip index follows its cache mode.
+        # injection, DESIGN.md §9); the skip index follows its cache mode
+        # and the queue counts into its counters.
         use_skip = cluster.ctx.enabled
+        counters = cluster.ctx.counters
         if use_skip:
             if self._skip_cluster is not cluster:
                 # A policy object reused against a fresh cluster must not
@@ -154,12 +150,12 @@ class BaseScheduler(abc.ABC):
                         # cheapest shape): _try_place must fail again.
                         # The job still ages and still blocks the queue,
                         # exactly as the re-run failure would.
-                        self.counters["jobs_skipped"] += 1
+                        counters["jobs_skipped"] += 1
                         skipped.append(job)
                         if job.times_passed_over >= self.config.age_limit:
                             break
                         continue
-            self.counters["try_place_calls"] += 1
+            counters["try_place_calls"] += 1
             self._fail_watermark = None
             decision = self._try_place(cluster, job, now)
             if decision is not None:

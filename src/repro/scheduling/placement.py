@@ -76,7 +76,7 @@ def find_nodes(
             cluster.find_fail = (epoch, failed)
         key = (n_nodes, cores, ways, bw, net, beta)
         if key in failed:
-            cluster.counters["find_fail_hits"] += 1
+            cluster.ctx.counters["find_fail_hits"] += 1
             return None
 
     def fail() -> None:

@@ -96,7 +96,7 @@ class SpreadNShareScheduler(BaseScheduler):
         )
         hit = self._demand_cache.get(key)
         if hit is not None and hit[0] is job.program:
-            self.counters["demand_cache_hits"] += 1
+            ctx.counters["demand_cache_hits"] += 1
             return hit[1]
         value = self._compute_candidates(job, alpha, ctx)
         if len(self._demand_cache) >= ctx.max_entries:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -277,6 +278,9 @@ class SchedulerMaster:
         }
 
     def _job_from_request(self, request: dict) -> Job:
+        """Build the submitted job, refusing any the core could never
+        run: a job it cannot place, or one dated past the horizon,
+        would otherwise latch a fault for the whole service."""
         program = get_program(request["program"])
         job_id = request.get("job_id")
         if job_id is None:
@@ -284,19 +288,39 @@ class SchedulerMaster:
         job_id = int(job_id)
         if job_id in self._known_ids:
             raise ValueError(f"duplicate job id {job_id}")
+        procs = request["procs"]
+        if not isinstance(procs, int) or isinstance(procs, bool):
+            raise ValueError(f"procs must be an integer, not {procs!r}")
+        spec = self.core.cluster.spec
+        need = spec.node.min_nodes_for(procs)
+        limit = spec.num_nodes
+        if program.max_nodes is not None:
+            limit = min(limit, program.max_nodes)
+        if need > limit:
+            raise ValueError(
+                f"{procs} processes need at least {need} nodes; "
+                f"at most {limit} are available to {program.name}"
+            )
+        submit_time = float(request.get("submit_time", self.watermark))
+        horizon = self.core.config.max_sim_time
+        if not math.isfinite(submit_time) or submit_time > horizon:
+            raise ValueError(
+                f"submit_time must be finite and at most {horizon}"
+            )
+        work_multiplier = float(request.get("work_multiplier", 1.0))
+        if not math.isfinite(work_multiplier):
+            raise ValueError("work_multiplier must be finite")
         # Clamp to the watermark: virtual time cannot run backwards, so
         # a submission dated before an already-accepted one lands *at*
         # the watermark (the service analogue of "you cannot submit a
         # job yesterday").
-        submit_time = max(self.watermark,
-                          float(request.get("submit_time", self.watermark)))
         return Job(
             job_id=job_id,
             program=program,
-            procs=int(request["procs"]),
-            submit_time=submit_time,
+            procs=procs,
+            submit_time=max(self.watermark, submit_time),
             alpha=request.get("alpha"),
-            work_multiplier=float(request.get("work_multiplier", 1.0)),
+            work_multiplier=work_multiplier,
         )
 
     # ------------------------------------------------------------ requests

@@ -19,17 +19,13 @@ from repro.errors import AllocationError, SimulationError
 from repro.hardware.topology import ClusterSpec
 from repro.perfmodel import batch
 from repro.perfmodel.context import PerfContext, resolve_cache_mode
-from repro.perfmodel.contention import (
-    Slice,
-    arbitrate_node,
-    node_network_load,
-)
+from repro.perfmodel.contention import Slice
 from repro.sim.node import NodeColumns, NodeState, SliceColumns
 
-#: Cached per-node arbitration, stored positionally so signature-shared
-#: results fan out to sibling nodes as plain tuple packing: (resident job
-#: ids in insertion order, granted GB/s per job, network load, effective
-#: LLC ways per job).  Slices per node are few, so consumers look up one
+#: Per-node arbitration, stored positionally so signature-shared results
+#: fan out to sibling nodes as plain tuple packing: (resident job ids in
+#: insertion order, granted GB/s per job, network load, effective LLC
+#: ways per job).  Slices per node are few, so consumers look up one
 #: job via ``view[0].index(job_id)``.
 ArbitrationView = Tuple[
     Tuple[int, ...], Tuple[float, ...], float, Tuple[float, ...]
@@ -48,7 +44,8 @@ class ClusterState:
     partitioned: bool = True
     enforce_bw: bool = False
     share_residual: bool = True
-    #: Perf-model context this cluster's arbitration caches live in.
+    #: Perf-model context: the cache mode this cluster's caches follow
+    #: and the run's counters its scans and arbitration write.
     #: Injected by the owning :class:`~repro.sim.runtime.Simulation`
     #: (construction-injection rule, DESIGN.md §9); a standalone
     #: ClusterState gets a private context with the default cache mode.
@@ -58,18 +55,11 @@ class ClusterState:
     # deterministic iteration order, and — unlike sorting — no O(G log G)
     # cost per query on clusters with tens of thousands of idle nodes.
     _by_free_cores: Dict[int, Dict[int, None]] = field(init=False)
-    # Per-node arbitration results as an object column (index = node id,
-    # ``None`` = no entry), evicted whenever place_slices/remove_slices
-    # changes the node's slice set; the runtime's _refresh reads
-    # unchanged nodes from here instead of re-arbitrating them from
-    # scratch.  Each batch evicts its whole cohort with one
-    # fancy-indexed write.
-    _arb_cache: np.ndarray = field(init=False)
     # Signature-keyed arbitration views shared *across* nodes: wide-job
     # placement produces thousands of nodes with identical resident mixes,
-    # and a _arb_cache eviction on one of them can be refilled from a
-    # sibling's result without rebuilding Slice objects.  Values store
-    # grants/ways positionally plus the program refs for stale-id defence.
+    # and a node whose slice set changed can be refilled from a sibling's
+    # result without rebuilding Slice objects.  Values store grants/ways
+    # positionally plus the program refs for stale-id defence.
     _view_cache: Dict[tuple, tuple] = field(init=False)
     #: Monotone counter bumped on every slice removal.  Placements only
     #: consume capacity, so between two removals a job that failed to
@@ -85,8 +75,6 @@ class ClusterState:
     #: Down nodes are absent from the free-core index, so every
     #: placement path (bucket scans, idle queries) skips them natively.
     _down: Dict[int, None] = field(init=False)
-    #: Arbitration/scan instrumentation, surfaced on SimulationResult.
-    counters: Dict[str, int] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.ctx is None:
@@ -117,18 +105,8 @@ class ClusterState:
         self._by_free_cores = {
             self.spec.node.cores: dict.fromkeys(range(n))
         }
-        self._arb_cache = np.full(n, None, dtype=object)
         self._view_cache = {}
         self._down = {}
-        self.counters = {
-            "arb_requests": 0,
-            "arb_cache_hits": 0,
-            "view_cache_hits": 0,
-            "arb_nodes_solved": 0,
-            "nodes_scanned": 0,
-            "find_fail_hits": 0,
-            "scan_cache_hits": 0,
-        }
         # Negative placement-search cache: demand tuples find_nodes
         # failed for at the given release epoch (see find_nodes —
         # placements only consume, so a failure holds until a removal).
@@ -338,7 +316,6 @@ class ClusterState:
                     sig[1] + (job_id,),
                     sig[2] + (program,),
                 )
-        self._arb_cache[arr] = None
         self._reindex_batch(node_ids, old_free, procs_list, -1)
 
     def remove_slices(self, node_ids: Sequence[int], job_id: int) -> None:
@@ -439,7 +416,6 @@ class ClusterState:
         for i, sig in zip(kept_pos, shrunk):
             if sig is not None:
                 sigs[node_ids[i]] = sig
-        self._arb_cache[arr] = None
         cols.free_cores[arr] += procs_arr
         cols.n_res[arr] -= 1
         if partitioned:
@@ -787,7 +763,7 @@ class ClusterState:
             if memo is not None:
                 hit = memo.get(dkey)
                 if hit is not None:
-                    self.counters["scan_cache_hits"] += 1
+                    self.ctx.counters["scan_cache_hits"] += 1
                     return list(hit)
             arr = self._bucket_arrays.get(bucket)
         if arr is None:
@@ -810,7 +786,7 @@ class ClusterState:
         check_cores = not (bucket is not None and bucket >= cores)
         if not (check_cores or bw > 0.0 or self.partitioned or net > 0.0):
             hits = arr[:limit] if arr.size > limit else arr
-            self.counters["nodes_scanned"] += int(hits.size)
+            self.ctx.counters["nodes_scanned"] += int(hits.size)
             out = hits.tolist()
             if dkey is not None:
                 self._scan_cache.setdefault(bucket, {})[dkey] = out
@@ -829,7 +805,7 @@ class ClusterState:
         # ``limit`` qualifiers (in id-array order, which chunking
         # preserves), so wide buckets stop as soon as the quota is
         # filled instead of testing every member.
-        counters = self.counters
+        counters = self.ctx.counters
         out: List[int] = []
         size = int(arr.size)
         chunk = max(512, limit)
@@ -957,45 +933,27 @@ class ClusterState:
             free * len(ids) for free, ids in self._by_free_cores.items()
         )
 
-    def arbitration(self, node_id: int) -> ArbitrationView:
-        """Bandwidth grants, network load, and effective ways on one
-        node, cached until the node's slice set changes.
-
-        With the perf-model caches disabled (debugging / equivalence
-        runs) every call recomputes from scratch on the reference path.
-        """
-        if not self.ctx.enabled:
-            return self._arbitrate(node_id)
-        self.counters["arb_requests"] += 1
-        view = self._arb_cache[node_id]
-        if view is None:
-            view = self._arbitrate(node_id)
-            self._arb_cache[node_id] = view
-        else:
-            self.counters["arb_cache_hits"] += 1
-        return view
-
     def arbitration_batch(
         self, node_ids: Iterable[int]
     ) -> Dict[int, ArbitrationView]:
         """Arbitration views for many nodes at once.
 
-        Per-node and cross-node cache hits are materialized first; the
-        residual cache misses — at most one representative per distinct
-        slice signature — are solved in a single call to the columnar
-        batched kernel (:func:`repro.perfmodel.batch.arbitrate_nodes`)
-        and fanned back out to every node sharing the signature.
-        Bit-identical to calling :meth:`arbitration` per node.
+        Cross-node view-cache hits are materialized first; the residual
+        misses — at most one representative per distinct slice
+        signature — are solved in a single call to the columnar batched
+        kernel (:func:`repro.perfmodel.batch.arbitrate_nodes`) and fanned
+        back out to every node sharing the signature.  Bit-identical to
+        the reference :meth:`_arbitrate` per node, which is what runs
+        with the perf-model caches disabled.
         """
         if not self.ctx.enabled:
             return {nid: self._arbitrate(nid) for nid in node_ids}
-        requests = arb_hits = view_hits = 0
+        view_hits = 0
         views: Dict[int, ArbitrationView] = {}
         pending: List[Tuple[int, tuple, Tuple[int, ...]]] = []
         solve_keys: Dict[tuple, int] = {}
         solve_nodes: List[int] = []
         nodes = self.nodes
-        arb_cache = self._arb_cache
         view_cache = self._view_cache
         # Sibling nodes (same signature AND same resident job ids — the
         # slices of one wide job) receive the *same* view tuple, so
@@ -1008,28 +966,21 @@ class ClusterState:
         # re-check.  Signature objects are pinned by the sig column's
         # refs for the duration of the call, so ids cannot be recycled.
         by_key_id: Dict[int, ArbitrationView] = {}
-        # Scalar numpy reads (`arb_cache[nid]`, `n_res[nid]`, sig cell)
-        # cost ~a microsecond each and this loop runs for every
-        # refreshed node; one fancy-index gather per column amortizes
-        # them to C speed, then the loop touches plain Python lists.
+        # Scalar numpy reads (`n_res[nid]`, sig cell) cost ~a microsecond
+        # each and this loop runs for every refreshed node; one
+        # fancy-index gather per column amortizes them to C speed, then
+        # the loop touches plain Python lists.
         node_list = (node_ids if isinstance(node_ids, (list, tuple))
                      else list(node_ids))
         count = len(node_list)
         if not count:
             return views
         idx = np.fromiter(node_list, dtype=np.int64, count=count)
-        cached = arb_cache[idx].tolist()
         nres_list = self.columns.n_res[idx].tolist()
         sig_list = self.scols.sig[idx].tolist()
-        requests = count
         for i, nid in enumerate(node_list):
-            view = cached[i]
-            if view is not None:
-                arb_hits += 1
-                views[nid] = view
-                continue
             if not nres_list[i]:
-                views[nid] = arb_cache[nid] = ((), (), 0.0, ())
+                views[nid] = ((), (), 0.0, ())
                 continue
             sig = sig_list[i]
             if sig is None:
@@ -1042,7 +993,7 @@ class ClusterState:
                     pending.append((nid, key, jids))
                 else:
                     view_hits += 1
-                    views[nid] = arb_cache[nid] = full
+                    views[nid] = full
                 continue
             entry = view_cache.get(key)
             if entry is not None and all(
@@ -1054,7 +1005,7 @@ class ClusterState:
                 if full is None:
                     full = (jids, entry[1], entry[2], entry[3])
                     packed[pk] = full
-                views[nid] = arb_cache[nid] = full
+                views[nid] = full
                 by_key_id[id(key)] = full
                 continue
             pending.append((nid, key, jids))
@@ -1062,9 +1013,7 @@ class ClusterState:
             if key not in solve_keys:
                 solve_keys[key] = len(solve_nodes)
                 solve_nodes.append(nid)
-        counters = self.counters
-        counters["arb_requests"] += requests
-        counters["arb_cache_hits"] += arb_hits
+        counters = self.ctx.counters
         counters["view_cache_hits"] += view_hits
         if pending:
             tables = [nodes[nid].slices() for nid in solve_nodes]
@@ -1093,7 +1042,7 @@ class ClusterState:
                         full = (jids, entry[1], entry[2], entry[3])
                         packed[pk] = full
                     by_key_id[id(key)] = full
-                views[nid] = arb_cache[nid] = full
+                views[nid] = full
         return views
 
     def solo_conditions(
@@ -1157,7 +1106,7 @@ class ClusterState:
         view_cache = self._view_cache
         entry = view_cache.get(key)
         if entry is not None and entry[0][0] is program:
-            self.counters["view_cache_hits"] += 1
+            self.ctx.counters["view_cache_hits"] += 1
             return (procs, entry[3][0], entry[1][0], entry[2])
         # Same expressions as NodeState.effective_ways for a sole
         # resident (n_res == 1, so the node's used cores equal the
@@ -1181,41 +1130,25 @@ class ClusterState:
             self.ctx, spec, [[slc]]
         )[0]
         grant = grants[job_id]
-        self.counters["arb_nodes_solved"] += 1
+        self.ctx.counters["arb_nodes_solved"] += 1
         if len(view_cache) >= self.ctx.max_entries:
             view_cache.clear()
         view_cache[key] = ((program,), (grant,), net_load, (eff,))
         return (procs, eff, grant, net_load)
 
     def _arbitrate(self, node_id: int) -> ArbitrationView:
+        """Reference arbitration of one node from its Slice objects."""
         node = self.nodes[node_id]
         if node.is_idle:
             return (), (), 0.0, ()
-        ctx = self.ctx
-        if not ctx.enabled:
-            slices = node.slices()
-            grants = arbitrate_node(node.spec, slices, ctx=ctx)
-            net_load = node_network_load(node.spec, slices)
-            return (
-                tuple(s.job_id for s in slices),
-                tuple(grants[s.job_id] for s in slices),
-                net_load,
-                tuple(s.effective_ways for s in slices),
-            )
-        key, jids, programs = node.arb_signature()
-        entry = self._view_cache.get(key)
-        if entry is not None and all(
-            p is q for p, q in zip(entry[0], programs)
-        ):
-            return jids, entry[1], entry[2], entry[3]
         slices = node.slices()
-        grants, net_load = ctx.node_arbitration(node.spec, slices)
-        effs = tuple(s.effective_ways for s in slices)
-        grants_t = tuple(grants[j] for j in jids)
-        if len(self._view_cache) >= ctx.max_entries:
-            self._view_cache.clear()
-        self._view_cache[key] = (programs, grants_t, net_load, effs)
-        return jids, grants_t, net_load, effs
+        grants, net_load = self.ctx.node_arbitration(node.spec, slices)
+        return (
+            tuple(s.job_id for s in slices),
+            tuple(grants[s.job_id] for s in slices),
+            net_load,
+            tuple(s.effective_ways for s in slices),
+        )
 
     def verify_index(self) -> None:
         """Invariant check used by tests and defensive assertions."""

@@ -77,8 +77,6 @@ class SchedulerPolicy(Protocol):
     enforce_bw: bool
     #: The paper's residual-way giveaway (Section 4.4 ablation knob).
     share_residual: bool
-    #: Queue instrumentation merged into ``SimulationResult.counters``.
-    counters: Dict[str, int]
 
     def priority_key(self, job: Job) -> tuple:
         """The job's queue rank, smaller first; unique per job.  The
@@ -122,9 +120,10 @@ class SimulationResult:
     telemetry: Optional[TelemetryRecorder]
     #: Number of discrete events processed (benchmark metric).
     events: int = 0
-    #: Kernel-counter instrumentation: event batches, coalesced events,
-    #: refresh cycles, arbitration cache traffic, nodes scanned, jobs
-    #: skipped, memo hit deltas (see DESIGN.md §7).
+    #: Kernel-counter instrumentation: a copy of the run's
+    #: ``PerfContext.counters`` (every name in
+    #: :data:`~repro.perfmodel.context.COUNTER_NAMES`) plus ``events``
+    #: (see DESIGN.md §7 and §10).
     counters: Dict[str, int] = field(default_factory=dict)
     #: The run's structured tracer (DESIGN.md §10); ``None`` unless the
     #: simulation was constructed with tracing enabled.
@@ -322,18 +321,6 @@ class SchedulerCore:
         # (exactly the touched nodes) and can reuse the rest.
         self._job_conds: Dict[int, tuple] = {}
         self._events_processed = 0
-        self._counters = {
-            "event_batches": 0,
-            "events_coalesced": 0,
-            "refresh_cycles": 0,
-            "nodes_refreshed": 0,
-            "node_failures": 0,
-            "node_recoveries": 0,
-            "job_evictions": 0,
-            "job_retries": 0,
-            "jobs_failed": 0,
-            "profile_outages": 0,
-        }
         # Count of terminal jobs (finished + failed): with a fault plan
         # the event queue can outlive the workload (recoveries scheduled
         # past the last completion), so the loop stops once every job is
@@ -477,7 +464,7 @@ class SchedulerCore:
         self.start()
         if (
             self._has_faults
-            and self._counters["event_batches"] > 0
+            and self.ctx.counters["event_batches"] > 0
             and self._terminal == len(self.jobs)
         ):
             return False
@@ -538,8 +525,8 @@ class SchedulerCore:
             events.append(nxt)
             ev = nxt
         self._events_processed += len(events)
-        self._counters["event_batches"] += 1
-        self._counters["events_coalesced"] += len(events) - 1
+        self.ctx.counters["event_batches"] += 1
+        self.ctx.counters["events_coalesced"] += len(events) - 1
         if trace_full:
             tracer.batch(now, [e.kind.label for e in events])
         self._refresh(affected, touched, now)
@@ -548,14 +535,14 @@ class SchedulerCore:
 
     def snapshot(self) -> SimSnapshot:
         """O(1) view of the in-flight run (``GET /stats``)."""
-        finished = self._terminal - self._counters["jobs_failed"]
+        finished = self._terminal - self.ctx.counters["jobs_failed"]
         return SimSnapshot(
             now=self.events.now,
             submitted=len(self.jobs),
             pending=len(self.pending),
             running=self._running,
             finished=finished,
-            failed=self._counters["jobs_failed"],
+            failed=self.ctx.counters["jobs_failed"],
             events=self._events_processed,
             next_event_time=self.events.peek_time(),
             mean_turnaround=(
@@ -573,7 +560,7 @@ class SchedulerCore:
             makespan=self.events.now,
             telemetry=self.telemetry,
             events=self._events_processed,
-            counters=self._collect_counters(),
+            counters=self._result_counters(),
             trace=self.tracer,
             complete=False,
         )
@@ -595,7 +582,7 @@ class SchedulerCore:
             makespan=makespan,
             telemetry=self.telemetry,
             events=self._events_processed,
-            counters=self._collect_counters(),
+            counters=self._result_counters(),
             trace=self.tracer,
         )
 
@@ -610,17 +597,11 @@ class SchedulerCore:
             pass
         return self.finalize()
 
-    def _collect_counters(self) -> Dict[str, int]:
-        """Aggregate instrumentation: runtime loop + cluster arbitration
-        + policy queue counters + this run's perf-context kernel stats.
-        The context is created fresh per Simulation, so its counters are
-        absolute for this run — no snapshot deltas needed."""
-        counters = dict(self._counters)
-        counters["events"] = self._events_processed
-        counters.update(self.cluster.counters)
-        counters.update(self.policy.counters)
-        counters.update(self.ctx.counters())
-        return counters
+    def _result_counters(self) -> Dict[str, int]:
+        """A copy of the run's counters plus ``events``.  The context
+        is created fresh per Simulation, so they are absolute for this
+        run."""
+        return {**self.ctx.counters, "events": self._events_processed}
 
     # ----------------------------------------------------------- internals
 
@@ -672,7 +653,7 @@ class SchedulerCore:
         """A node dies: every resident job loses its run (all slices on
         all its nodes are evicted and the attempt's work becomes
         badput), then the node leaves the free-core index."""
-        self._counters["node_failures"] += 1
+        self.ctx.counters["node_failures"] += 1
         cluster = self.cluster
         residents = cluster.node(node_id).resident_job_ids
         if self.tracer is not None:
@@ -700,14 +681,14 @@ class SchedulerCore:
         if self._fabric is not None:
             self._fabric_note_end(job.job_id)
         self._running -= 1
-        self._counters["job_evictions"] += 1
+        self.ctx.counters["job_evictions"] += 1
         self.policy.on_job_evict(job, now)
         touched.update(nodes)
         residents.discard(job.job_id)
         affected.update(residents)
         affected.discard(job.job_id)
         if job.retries <= self._retry.max_retries:
-            self._counters["job_retries"] += 1
+            self.ctx.counters["job_retries"] += 1
             requeue_at: Optional[float] = now + self._retry.backoff_s
             self.events.push_submit(requeue_at, job.job_id)
         else:
@@ -717,7 +698,7 @@ class SchedulerCore:
             # dead weight — drop it (see _finish_job).  Retried jobs
             # keep theirs so their version counter stays monotone.
             self.events.retire(job.job_id)
-            self._counters["jobs_failed"] += 1
+            self.ctx.counters["jobs_failed"] += 1
             self._terminal += 1
         if tracer is not None:
             tracer.evict(now, job, failed_node,
@@ -729,12 +710,12 @@ class SchedulerCore:
         """A failed node rejoins, empty; recovery is a scheduling point
         (capacity appeared, exactly like a completion)."""
         self.cluster.recover_node(node_id)
-        self._counters["node_recoveries"] += 1
+        self.ctx.counters["node_recoveries"] += 1
 
     def _handle_profile_event(self, kind: EventKind) -> None:
         up = kind is EventKind.PROFILE_UP
         if not up:
-            self._counters["profile_outages"] += 1
+            self.ctx.counters["profile_outages"] += 1
         self.policy.set_profile_store_available(up)
 
     # ------------------------------------------------------ fabric tracking
@@ -810,7 +791,7 @@ class SchedulerCore:
                     load = tor_util[r]
             route_loads[jid] = load
         self._route_loads = route_loads
-        counters = self.ctx.batch_counters
+        counters = self.ctx.counters
         counters["fabric_link_refreshes"] += 1
         counters["fabric_route_evals"] += len(route_loads)
         if self.tracer is not None:
@@ -825,15 +806,15 @@ class SchedulerCore:
             and tracer.level >= TraceLevel.EVENTS
         if trace_sched:
             pending_before = len(self.pending)
-            counters = self.policy.counters
-            tried_before = counters.get("try_place_calls", 0)
-            skipped_before = counters.get("jobs_skipped", 0)
+            counters = self.ctx.counters
+            tried_before = counters["try_place_calls"]
+            skipped_before = counters["jobs_skipped"]
         decisions = self.policy.schedule_point(self.cluster, self.pending, now)
         if trace_sched:
             tracer.sched(
                 now, pending_before, len(decisions),
-                counters.get("try_place_calls", 0) - tried_before,
-                counters.get("jobs_skipped", 0) - skipped_before,
+                counters["try_place_calls"] - tried_before,
+                counters["jobs_skipped"] - skipped_before,
             )
         if not decisions:
             return
@@ -934,10 +915,7 @@ class SchedulerCore:
         """Recompute speeds and finish events for the given jobs, and
         record telemetry for every node whose conditions changed.
 
-        Arbitration comes from :meth:`ClusterState.arbitration`: nodes
-        whose slice set changed (place/remove evicted their cache entry)
-        are re-solved; the untouched nodes of wide affected jobs are
-        read back from the cache.
+        Arbitration comes from :meth:`ClusterState.arbitration_batch`.
         """
         if self._fabric is not None and self._fabric_dirty:
             self._fabric_dirty = False
@@ -967,8 +945,8 @@ class SchedulerCore:
             nodes_needed.update(touched_nodes)
         if not nodes_needed:
             return
-        self._counters["refresh_cycles"] += 1
-        self._counters["nodes_refreshed"] += len(nodes_needed)
+        self.ctx.counters["refresh_cycles"] += 1
+        self.ctx.counters["nodes_refreshed"] += len(nodes_needed)
         tracer = self.tracer
         trace_full = tracer is not None \
             and tracer.level >= TraceLevel.FULL
@@ -1089,8 +1067,8 @@ class SchedulerCore:
             needed.update(touched_nodes)
         if not needed and not refreshed:
             return
-        self._counters["refresh_cycles"] += 1
-        self._counters["nodes_refreshed"] += len(needed)
+        self.ctx.counters["refresh_cycles"] += 1
+        self.ctx.counters["nodes_refreshed"] += len(needed)
         tracer = self.tracer
         trace_full = tracer is not None \
             and tracer.level >= TraceLevel.FULL
@@ -1204,7 +1182,7 @@ class SchedulerCore:
                 dtype=np.float64, count=m,
             )
             fins = last + rem / speeds
-            self.ctx.batch_counters["vec_finish_updates"] += m
+            self.ctx.counters["vec_finish_updates"] += m
             push_finish = self.events.push_finish
             speeds_list = speeds.tolist()
             fins_list = fins.tolist()

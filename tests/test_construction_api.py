@@ -66,7 +66,6 @@ class TestProtocolSurface:
         assert isinstance(policy.partitioned, bool)
         assert isinstance(policy.enforce_bw, bool)
         assert isinstance(policy.share_residual, bool)
-        assert isinstance(policy.counters, dict)
         for hook in ("schedule_point", "on_job_finish", "on_job_evict",
                      "set_profile_store_available"):
             assert callable(getattr(policy, hook))

@@ -123,4 +123,4 @@ def test_vec_counter_accounting(data):
     ctx = PerfContext(enabled=True)
     packed.eval(idx, x, ctx)
     packed.min_x_reaching(idx, x, ctx)
-    assert ctx.batch_counters["vec_curve_evals"] == 2 * len(idx)
+    assert ctx.counters["vec_curve_evals"] == 2 * len(idx)

@@ -10,7 +10,12 @@ from repro.apps.catalog import get_program
 from repro.config import SimConfig
 from repro.experiments.parallel import run_grid
 from repro.hardware.topology import ClusterSpec
-from repro.perfmodel.context import PerfContext, resolve_cache_mode
+from repro.perfmodel.context import (
+    COUNTER_NAMES,
+    PerfContext,
+    resolve_cache_mode,
+)
+from repro.scheduling.sns import SpreadNShareScheduler
 from repro.sim.job import Job
 from repro.sim.runtime import SchedulerCore, Simulation
 from repro.workloads.sequences import clone_jobs, random_sequence
@@ -20,22 +25,21 @@ class TestContextIsolation:
     """Two contexts never observe each other's entries, stats, or mode."""
 
     def test_caches_and_stats_are_private(self):
-        spec = ClusterSpec(num_nodes=2).node
         program = get_program("MG")
         a, b = PerfContext(), PerfContext()
-        a.demand_gbps_per_proc(program, 4.0, 1, spec.bandwidth.core_peak)
-        a.demand_gbps_per_proc(program, 4.0, 1, spec.bandwidth.core_peak)
-        assert a.cache_stats()["demand"] == {
+        a.process_rate(program, 16, 4.0, 50.0, 1)
+        a.process_rate(program, 16, 4.0, 50.0, 1)
+        assert a.cache_stats()["rate"] == {
             "hits": 1, "misses": 1, "size": 1
         }
         # b saw none of it.
-        assert b.cache_stats()["demand"] == {
+        assert b.cache_stats()["rate"] == {
             "hits": 0, "misses": 0, "size": 0
         }
         # First call on b is a miss even though a cached the same key.
-        b.demand_gbps_per_proc(program, 4.0, 1, spec.bandwidth.core_peak)
-        assert b.cache_stats()["demand"]["misses"] == 1
-        assert b.cache_stats()["demand"]["hits"] == 0
+        b.process_rate(program, 16, 4.0, 50.0, 1)
+        assert b.cache_stats()["rate"]["misses"] == 1
+        assert b.cache_stats()["rate"]["hits"] == 0
 
     def test_enabled_flag_is_private(self):
         a, b = PerfContext(enabled=True), PerfContext(enabled=True)
@@ -62,49 +66,29 @@ class TestContextIsolation:
         # warmed by the first, so the kernel stats agree exactly.
         assert r1.counters == r2.counters
 
-    def test_clear_resets_everything(self):
-        spec = ClusterSpec(num_nodes=2).node
-        ctx = PerfContext()
-        ctx.demand_gbps_per_proc(get_program("EP"), 2.0, 1,
-                                 spec.bandwidth.core_peak)
-        ctx.batch_counters["batch_calls"] += 3
-        ctx.clear()
-        assert all(
-            stats == {"hits": 0, "misses": 0, "size": 0}
-            for stats in ctx.cache_stats().values()
-        )
-        assert ctx.batch_counters["batch_calls"] == 0
-
 
 class TestEviction:
     def test_per_context_max_entries(self):
-        spec = ClusterSpec(num_nodes=2).node
         program = get_program("EP")
         small = PerfContext(max_entries=4)
         big = PerfContext()  # default MAX_ENTRIES
         for i in range(6):
             cap = 1.0 + i
-            small.demand_gbps_per_proc(program, cap, 1,
-                                       spec.bandwidth.core_peak)
-            big.demand_gbps_per_proc(program, cap, 1,
-                                     spec.bandwidth.core_peak)
+            small.process_rate(program, 8, cap, 40.0, 1)
+            big.process_rate(program, 8, cap, 40.0, 1)
         # The small context hit its ceiling and dumped wholesale at
         # least once; the big one kept every entry.
-        assert small.cache_stats()["demand"]["size"] < 6
-        assert big.cache_stats()["demand"]["size"] == 6
+        assert small.cache_stats()["rate"]["size"] < 6
+        assert big.cache_stats()["rate"]["size"] == 6
 
     def test_evicted_values_stay_bit_identical(self):
-        spec = ClusterSpec(num_nodes=2).node
         program = get_program("MG")
         tiny = PerfContext(max_entries=2)
         reference = PerfContext(enabled=False)
         for i in range(8):
             cap = 0.5 + 0.25 * i
-            assert tiny.demand_gbps_per_proc(
-                program, cap, 1, spec.bandwidth.core_peak
-            ) == reference.demand_gbps_per_proc(
-                program, cap, 1, spec.bandwidth.core_peak
-            )
+            assert tiny.process_rate(program, 16, cap, 60.0, 1) \
+                == reference.process_rate(program, 16, cap, 60.0, 1)
 
 
 class TestStatsPlumbing:
@@ -116,16 +100,15 @@ class TestStatsPlumbing:
             sim_config=SimConfig(telemetry=False, perf_caches=True),
         )
         result = sim.run()
-        expected = sim.ctx.counters()
-        assert expected  # the run exercised the kernels
-        for key, value in expected.items():
-            assert result.counters[key] == value
-        # The full key scheme is present in the result.
-        for name in ("demand", "rate", "node", "net", "supply"):
-            assert f"memo_{name}_hits" in result.counters
-            assert f"memo_{name}_misses" in result.counters
-        for key in ("batch_calls", "batch_nodes", "batch_slices"):
-            assert key in result.counters
+        # The result is the context's one counter dict plus ``events``.
+        assert result.counters == {**sim.ctx.counters,
+                                   "events": result.events}
+        assert result.counters is not sim.ctx.counters
+        # Every named counter is present, and the run exercised the
+        # kernels.
+        assert set(COUNTER_NAMES) <= result.counters.keys()
+        assert result.counters["memo_rate_misses"] > 0
+        assert result.counters["batch_calls"] > 0
 
     def test_reference_run_reports_zero_kernel_traffic(self):
         spec = ClusterSpec(num_nodes=4)
@@ -134,9 +117,31 @@ class TestStatsPlumbing:
             "SNS", spec, jobs,
             sim_config=SimConfig(telemetry=False, perf_caches=False),
         ).run()
-        assert result.counters["memo_demand_hits"] == 0
-        assert result.counters["memo_demand_misses"] == 0
+        assert result.counters["memo_rate_hits"] == 0
+        assert result.counters["memo_rate_misses"] == 0
         assert result.counters["batch_calls"] == 0
+
+    def test_reused_policy_reports_its_own_run(self):
+        """A policy object driving a second simulation reports that
+        run's counters only, exactly like a fresh policy."""
+        spec = ClusterSpec(num_nodes=4)
+        jobs = random_sequence(seed=3, n_jobs=24)
+
+        def run(policy):
+            return Simulation(
+                spec, policy, clone_jobs(jobs),
+                SimConfig(telemetry=False, perf_caches=True),
+            ).run()
+
+        reused = SpreadNShareScheduler(spec)
+        run(reused)
+        second = run(reused)
+        fresh = run(SpreadNShareScheduler(spec))
+        for key in ("try_place_calls", "jobs_skipped",
+                    "demand_cache_hits"):
+            assert fresh.counters[key] > 0, key
+        assert second.counters == fresh.counters
+        assert second.makespan == fresh.makespan
 
 
 class TestCacheModeResolution:

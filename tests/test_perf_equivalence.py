@@ -79,7 +79,7 @@ class TestMemoizedEquivalence:
         assert ctx.enabled
         # Nested disable must restore the *outer* state, not blindly
         # re-enable.
-        ctx.set_enabled(False)
+        ctx = PerfContext(enabled=False)
         with ctx.disabled():
             assert not ctx.enabled
         assert not ctx.enabled
@@ -121,11 +121,9 @@ class TestMemoizedEquivalence:
     def test_stats_report_hits(self):
         runs = _run_sequence_results(7, caches=True)
         for result in runs.values():
-            # Every policy's run exercised the kernels and saw reuse.
-            assert result.counters["memo_demand_misses"] > 0
+            # Every policy's run exercised the rate memo and saw reuse.
+            assert result.counters["memo_rate_misses"] > 0
             assert result.counters["memo_rate_hits"] > 0
-        # Co-locating policies re-evaluate demand curves enough to hit.
-        assert runs["SNS"].counters["memo_demand_hits"] > 0
 
 
 class TestBatchedKernelEquivalence:
@@ -213,8 +211,9 @@ class TestBatchedKernelEquivalence:
 
 
 class TestArbitrationCacheInvalidation:
-    """place_slices/remove_slices must evict the per-node arbitration
-    entry."""
+    """place_slices/remove_slices must invalidate the node's
+    arbitration signature, so the next view reflects the new slice
+    set."""
 
     @pytest.fixture
     def cluster(self, program):
@@ -239,12 +238,10 @@ class TestArbitrationCacheInvalidation:
 
     def test_place_evicts_and_recomputes(self, cluster):
         self._place(cluster, 0, 1)
-        jids1, _, _, effs1 = cluster.arbitration(0)
+        jids1, _, _, effs1 = cluster.arbitration_batch([0])[0]
         assert jids1 == (1,)
-        # Cached: same object back while the node is untouched.
-        assert cluster.arbitration(0) is cluster.arbitration(0)
         self._place(cluster, 0, 2)
-        jids2, _, _, effs2 = cluster.arbitration(0)
+        jids2, _, _, effs2 = cluster.arbitration_batch([0])[0]
         assert set(jids2) == {1, 2}
         # Job 1's effective ways shrank when job 2 claimed dedicated ways.
         assert effs2[jids2.index(1)] < effs1[0]
@@ -252,10 +249,9 @@ class TestArbitrationCacheInvalidation:
     def test_remove_evicts(self, cluster):
         self._place(cluster, 0, 1)
         self._place(cluster, 0, 2)
-        before = cluster.arbitration(0)
+        cluster.arbitration_batch([0])  # warm the signature and views
         cluster.remove_slices([0], 2)
-        after = cluster.arbitration(0)
-        assert after is not before
+        after = cluster.arbitration_batch([0])[0]
         assert after[0] == (1,)
 
     def test_views_match_reference_after_churn(self, cluster):
@@ -263,9 +259,9 @@ class TestArbitrationCacheInvalidation:
         self._place(cluster, 0, 2)
         cluster.remove_slices([0], 1)
         self._place(cluster, 0, 3, procs=2)
-        cached = cluster.arbitration(0)
+        cached = cluster.arbitration_batch([0])[0]
         with cluster.ctx.disabled():
-            reference = cluster.arbitration(0)
+            reference = cluster.arbitration_batch([0])[0]
         assert cached == reference
 
     def test_counters_consistent_with_fresh_sums(self, cluster):

@@ -268,11 +268,13 @@ class TestBackpressure:
 
 class TestFaultReporting:
     def test_unschedulable_job_reports_fault(self):
-        """A genuinely unschedulable submission (GAN cannot span nodes)
+        """A genuinely unschedulable submission that passes admission
+        (MPI splits MG's 29 processes evenly only over 1 or 29 nodes:
+        too many cores for one node, too many nodes for this cluster)
         must surface as a fault reply, not a dropped connection."""
         with live_service() as (master, handle):
             with ServiceClient(handle.host, handle.port) as client:
-                client.submit(program="GAN", procs=56)
+                client.submit(program="MG", procs=29)
                 with pytest.raises(ServiceError,
                                    match="placed nothing on an idle"):
                     client.drain()
@@ -403,21 +405,49 @@ class TestMalformedInput:
         with live_service() as (master, handle):
             reply = raw_exchange(handle, payload)
             assert reply.startswith(expect), reply[:200]
+            assert_still_serving(handle)
+
+    @pytest.mark.parametrize("fields", [
+        {"program": "MG", "procs": 100_000_000},
+        {"program": "GAN", "procs": 56},
+        {"program": "MG", "procs": 2.7},
+        {"program": "MG", "procs": True},
+        {"program": "MG", "procs": 28, "submit_time": 1e308},
+        {"program": "MG", "procs": 28, "submit_time": float("inf")},
+        {"program": "MG", "procs": 28, "submit_time": float("nan")},
+        {"program": "MG", "procs": 28, "work_multiplier": float("inf")},
+        {"program": "MG", "procs": 28, "work_multiplier": float("nan")},
+    ], ids=["wider-than-cluster", "over-max-nodes", "fractional-procs",
+            "bool-procs", "past-horizon", "infinite-submit-time",
+            "nan-submit-time", "infinite-work", "nan-work"])
+    def test_unrunnable_submission_refused(self, fields):
+        """A submission the core could never run is refused on its own
+        instead of latching a fault for every later client."""
+        with live_service() as (master, handle):
             with ServiceClient(handle.host, handle.port) as client:
-                client.submit(program="WC", procs=28)
-                deadline = time.monotonic() + 10
-                while client.latencies()["placed"] < 1:
-                    assert time.monotonic() < deadline, "job never placed"
-                    time.sleep(0.01)
-            conn = http.client.HTTPConnection(handle.host, handle.port,
-                                              timeout=10)
-            try:
-                conn.request("GET", "/stats")
-                stats = json.loads(conn.getresponse().read())
-            finally:
-                conn.close()
-            assert stats["fault"] is None
-            assert stats["accepted"] == 1
+                reply = client.request({"op": "submit", **fields})
+            assert reply["ok"] is False
+            assert reply["error"].startswith("bad submission:"), reply
+            assert_still_serving(handle)
+
+
+def assert_still_serving(handle):
+    """A valid job is still placed and ``/stats`` shows no fault."""
+    with ServiceClient(handle.host, handle.port) as client:
+        client.submit(program="WC", procs=28)
+        deadline = time.monotonic() + 10
+        while client.latencies()["placed"] < 1:
+            assert time.monotonic() < deadline, "job never placed"
+            time.sleep(0.01)
+    conn = http.client.HTTPConnection(handle.host, handle.port,
+                                      timeout=10)
+    try:
+        conn.request("GET", "/stats")
+        stats = json.loads(conn.getresponse().read())
+    finally:
+        conn.close()
+    assert stats["fault"] is None
+    assert stats["accepted"] == 1
 
 
 class TestProtocol:
