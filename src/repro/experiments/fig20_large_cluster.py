@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
 from repro.experiments.common import ascii_table, run_all_policies
-from repro.experiments.parallel import resolve_jobs, run_grid
+from repro.experiments.parallel import run_grid
 from repro.hardware.topology import ClusterSpec
 from repro.metrics.times import breakdown
 from repro.workloads.trace import SyntheticTraceConfig, synthesize_trace
@@ -103,32 +103,6 @@ def run_fig20(
         for ratio in scaling_ratios
         for nodes in cluster_sizes
     ]
-    if resolve_jobs(jobs) <= 1:
-        # Serial: synthesize each ratio's trace once and share it across
-        # cluster sizes instead of once per point.
-        points: List[TracePoint] = []
-        for ratio in scaling_ratios:
-            trace = synthesize_trace(seed=seed, scaling_ratio=ratio,
-                                     config=trace_config)
-            for nodes in cluster_sizes:
-                cluster = ClusterSpec(num_nodes=nodes)
-                runs = run_all_policies(
-                    cluster, trace, policy_names=("CE", "SNS"),
-                    sim_config=SimConfig(telemetry=False, max_sim_time=1e12),
-                )
-                ce = breakdown(runs["CE"])
-                sns = breakdown(runs["SNS"])
-                points.append(
-                    TracePoint(
-                        nodes=nodes,
-                        scaling_ratio=ratio,
-                        ce_wait=ce.wait / ce.turnaround,
-                        ce_run=ce.run / ce.turnaround,
-                        sns_wait=sns.wait / ce.turnaround,
-                        sns_run=sns.run / ce.turnaround,
-                    )
-                )
-        return Fig20Result(points=points)
     return Fig20Result(points=run_grid(_run_point, tasks, jobs=jobs))
 
 

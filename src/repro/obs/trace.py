@@ -13,9 +13,9 @@ grid execution — the golden-trace contract
 (``tests/test_trace_golden.py``) enforced in CI.
 
 Overhead contract: a simulation without a tracer pays exactly one
-``is None`` check per emission site (tools/bench_report.py gates the
-untraced smoke grid at ±5 % and the fully traced one at +10 % of
-untraced wall-clock).
+``is None`` check per emission site (``tools/bench_report.py
+--trace-gate`` holds the fully traced smoke grid to 1.10x the untraced
+wall-clock).
 
 Trace levels
 ------------

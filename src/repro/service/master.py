@@ -91,6 +91,23 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
     raise _LineTooLong(head)
 
 
+#: Job ids live in int64 slice columns; this cap leaves the ids the
+#: service assigns after the largest accepted one room to grow too.
+JOB_ID_LIMIT = 2 ** 62
+
+
+def _job_id(value) -> int:
+    """A client's job id: an ``int`` in ``[0, JOB_ID_LIMIT)``.  Bools,
+    floats and strings are refused rather than truncated, and negatives
+    would collide with the slice columns' ``-1`` empty-slot sentinel."""
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or not 0 <= value < JOB_ID_LIMIT:
+        raise ValueError(
+            f"job_id must be a non-negative integer below {JOB_ID_LIMIT}, "
+            f"not {value!r}")
+    return value
+
+
 async def _refuse(writer: asyncio.StreamWriter, http: bool,
                   status: Tuple[int, str], message: str) -> None:
     """Send one final error reply in the connection's encoding; the
@@ -283,9 +300,7 @@ class SchedulerMaster:
         would otherwise latch a fault for the whole service."""
         program = get_program(request["program"])
         job_id = request.get("job_id")
-        if job_id is None:
-            job_id = self._next_id
-        job_id = int(job_id)
+        job_id = self._next_id if job_id is None else _job_id(job_id)
         if job_id in self._known_ids:
             raise ValueError(f"duplicate job id {job_id}")
         procs = request["procs"]
@@ -382,9 +397,10 @@ class SchedulerMaster:
 
     def _job_view(self, request: dict) -> dict:
         try:
-            job_id = int(request["job_id"])
-        except (KeyError, TypeError, ValueError):
-            return protocol.error("job op needs an integer job_id")
+            job_id = _job_id(request["job_id"])
+        except (KeyError, ValueError):
+            return protocol.error("job op needs a non-negative integer "
+                                  "job_id")
         job = self.core.jobs.get(job_id)
         if job is None:
             queued = job_id in self._known_ids
@@ -528,6 +544,10 @@ class SchedulerMaster:
                 await _refuse(writer, True, (400, "Bad Request"),
                               "Content-Length must be a non-negative "
                               "integer")
+                return
+            if length > LINE_LIMIT:
+                await _refuse(writer, True, (413, "Payload Too Large"),
+                              f"body exceeds {LINE_LIMIT} bytes")
                 return
             body = await reader.readexactly(length) if length else None
             try:

@@ -219,6 +219,10 @@ class TestServiceBatchIdentity:
                 assert view["n_nodes"] >= 1
                 with pytest.raises(ServiceError, match="unknown job"):
                     client.job(10_000)
+                for bad in (-1, 2.7, True, "0"):
+                    with pytest.raises(ServiceError,
+                                       match="non-negative integer"):
+                        client.job(bad)
 
 
 class TestBackpressure:
@@ -399,8 +403,11 @@ class TestMalformedInput:
         (b'{"op":"ping","pad":"' + LONG + b'"}\n', b'{"ok":false'),
         (PING + b'{"op":"ping","pad":"' + LONG + b'"}\n',
          b'{"ok":true,"pong":true}\n{"ok":false'),
+        (b"POST /submit HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (LINE_LIMIT + 1), b"HTTP/1.1 413 "),
     ], ids=["cl-not-a-number", "cl-negative", "http-request-line",
-            "http-header-line", "json-first-line", "json-later-line"])
+            "http-header-line", "json-first-line", "json-later-line",
+            "http-body-over-limit"])
     def test_refused_and_service_survives(self, payload, expect):
         with live_service() as (master, handle):
             reply = raw_exchange(handle, payload)
@@ -417,9 +424,15 @@ class TestMalformedInput:
         {"program": "MG", "procs": 28, "submit_time": float("nan")},
         {"program": "MG", "procs": 28, "work_multiplier": float("inf")},
         {"program": "MG", "procs": 28, "work_multiplier": float("nan")},
+        {"program": "MG", "procs": 28, "job_id": -1},
+        {"program": "MG", "procs": 28, "job_id": 2.7},
+        {"program": "MG", "procs": 28, "job_id": True},
+        {"program": "MG", "procs": 28, "job_id": 2 ** 63},
     ], ids=["wider-than-cluster", "over-max-nodes", "fractional-procs",
             "bool-procs", "past-horizon", "infinite-submit-time",
-            "nan-submit-time", "infinite-work", "nan-work"])
+            "nan-submit-time", "infinite-work", "nan-work",
+            "negative-job-id", "fractional-job-id", "bool-job-id",
+            "int64-overflow-job-id"])
     def test_unrunnable_submission_refused(self, fields):
         """A submission the core could never run is refused on its own
         instead of latching a fault for every later client."""

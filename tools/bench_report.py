@@ -1,41 +1,35 @@
 #!/usr/bin/env python3
-"""Wall-clock benchmark of the Fig 20 smoke grid.
+"""Bit-identity gates on the Fig 20 trace replays.
 
-Times the fixed smoke-trace grid — 2 scaling ratios x 2 cluster sizes x
-{CE, SNS} on ``smoke_trace_config()`` — and writes/merges the numbers
-into ``BENCH_sim.json`` at the repo root, so perf regressions in the
-event loop show up as numbers, not vibes:
+Replays the fixed smoke-trace grid — 2 scaling ratios x 2 cluster sizes
+x {CE, SNS} on ``smoke_trace_config()`` — and merges the results into
+``BENCH_sim.json`` at the repo root:
 
     PYTHONPATH=src python tools/bench_report.py [--label after]
     PYTHONPATH=src python tools/bench_report.py --no-caches --label ref
     PYTHONPATH=src python tools/bench_report.py --jobs 2
     PYTHONPATH=src python tools/bench_report.py --trace-gate
 
-``--trace-gate`` runs the grid twice — untraced, then with a
-full-level tracer — and enforces the DESIGN.md §10 observability
-contract: bit-identical results, invariant replay on every traced
-config, and at most 10 % wall-clock overhead (see
-:func:`run_trace_gate`).
+Each entry records, per configuration, the simulated events, the
+makespan and mean turnaround, and every run counter in
+:data:`~repro.perfmodel.context.COUNTER_NAMES` (DESIGN.md §7).  All of
+these are deterministic, so after each run this script cross-checks
+every entry in BENCH_sim.json and **exits non-zero (2) on any
+divergence** (:func:`check_divergence`): a fast path, a parallel run or
+a tracer that changes a result or a counter is a bug, and CI treats it
+as one.  A real counter change is accepted by regenerating the entry
+under its own label.
 
-Each entry records per-configuration wall seconds, simulated events,
-events/second, and the kernel counters (batched arbitration solves,
-coalesced events, skip-index hits, nodes scanned — see DESIGN.md §7),
-plus the grid total.  Existing entries under other labels are
-preserved, so a before/after pair can live side by side.
+Timing is not measured here: ``perfbench/`` (declared by
+``BENCHMARK.json``) times the same core over alternating pairs with
+bounded end-to-end metrics and per-layer spans.  The one wall-clock
+check left is the tracer's overhead budget, measured inside
+``--trace-gate`` and never written to BENCH_sim.json.
 
 ``--jobs N`` fans the grid out over N worker processes
 (:func:`repro.experiments.parallel.run_grid`): every simulation owns a
-private :class:`~repro.perfmodel.context.PerfContext`, so parallel runs
-must be bit-identical to serial ones — the divergence gate below
-enforces exactly that against any serial entry already in
-BENCH_sim.json.
-
-Every fast path in the simulator is required to be *bit-identical* to
-the reference kernels, so after timing, this script cross-checks the
-makespan and mean turnaround of every configuration against every
-other entry already in BENCH_sim.json and **exits non-zero (2) on any
-divergence** — a perf "win" that changes results is a bug, and CI
-treats it as one.
+private :class:`~repro.perfmodel.context.PerfContext`, so parallel
+entries must match serial ones exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -55,50 +49,42 @@ from repro.experiments.common import run_all_policies   # noqa: E402
 from repro.experiments.fig20_large_cluster import (     # noqa: E402
     smoke_trace_config,
 )
-# Renamed import: this script's own run_grid() is the benchmark driver.
+# Renamed import: this script's own run_grid() is the grid driver.
 from repro.experiments.parallel import (                # noqa: E402
     run_grid as run_grid_tasks,
 )
 from repro.hardware.topology import ClusterSpec         # noqa: E402
 from repro.obs import verify_trace, write_chrome_trace  # noqa: E402
+from repro.perfmodel.context import COUNTER_NAMES       # noqa: E402
 from repro.workloads.trace import (                     # noqa: E402
     SyntheticTraceConfig,
     synthesize_trace,
 )
 
-#: The benchmark grid (fixed: changing it would break comparability).
+#: The smoke grid (fixed: changing it would break comparability).
 RATIOS = (0.9, 0.5)
 SIZES = (4096, 8192)
 POLICIES = ("CE", "SNS")
 SEED = 42
+SMOKE_GRID = "fig20-smoke 2x2x2"
 
 #: The full-scale grid (``--full``): the paper's headline Fig 20
 #: configuration — the complete 7,044-job Trinity-like trace on the
 #: 32,768-node cluster at scaling ratio 0.9 — under both policies.
 FULL_RATIOS = (0.9,)
 FULL_SIZES = (32768,)
+FULL_GRID = "fig20-full 32k"
 
-#: Kernel counters copied into each config entry (DESIGN.md §7).
-COUNTER_COLUMNS = (
-    "events_coalesced",
-    "refresh_cycles",
-    "arb_nodes_solved",
-    "view_cache_hits",
-    "nodes_scanned",
-    "find_fail_hits",
-    "jobs_skipped",
-    "demand_cache_hits",
-    "vec_curve_evals",
-    "vec_finish_updates",
-    "fabric_link_refreshes",
-    "fabric_route_evals",
-)
+#: Full tracing may cost at most this factor in grid wall-clock
+#: (DESIGN.md §10 overhead budget; the trace gate exits 3 beyond it).
+TRACE_OVERHEAD_LIMIT = 1.10
 
 
-def _run_one(task: tuple) -> dict:
+def _run_one(task: tuple) -> Tuple[dict, float]:
     """One grid point: an independent simulation with a private
     PerfContext (``SimConfig.perf_caches`` picks the cache mode), so
-    it can run in any worker process.
+    it can run in any worker process.  Returns the config entry and the
+    simulation's wall seconds (used by the trace gate only).
 
     With ``trace=True`` the run carries a full-level tracer (the
     maximum-observability configuration: every record kind plus the
@@ -120,34 +106,28 @@ def _run_one(task: tuple) -> dict:
         "policy": policy,
         "nodes": nodes,
         "ratio": ratio,
-        "wall_s": round(wall, 4),
         "events": result.events,
-        "events_per_s": round(result.events / wall, 1),
         "makespan": result.makespan,
         "mean_turnaround": result.mean_turnaround(),
-        "counters": {
-            key: result.counters.get(key, 0)
-            for key in COUNTER_COLUMNS
-        },
+        "counters": {key: result.counters[key] for key in COUNTER_NAMES},
     }
     if trace:
         tracer = result.trace
         assert tracer is not None
-        # Invariant replay (outside the timed region): every smoke-grid
-        # experiment's trace must satisfy the conservation laws.
         verify_trace(tracer.events,
                      label=f"{policy}/{nodes}/{ratio}")
         entry["trace_records"] = len(tracer.events)
         if chrome_out:
             write_chrome_trace(tracer.events, chrome_out,
                                tracer.timeseries)
-    return entry
+    return entry, wall
 
 
 def run_grid(caches: bool = True, jobs: int = 1, verbose: bool = True,
              trace: bool = False, chrome_out: Optional[str] = None,
-             full: bool = False) -> dict:
-    """Run the smoke grid once; returns the BENCH_sim entry payload.
+             full: bool = False) -> Tuple[dict, float]:
+    """Run the smoke grid once; returns the BENCH_sim entry payload and
+    the summed per-config simulation wall seconds.
 
     ``jobs > 1`` fans the grid points out over that many worker
     processes; the per-config results are bit-identical to a serial run
@@ -158,12 +138,10 @@ def run_grid(caches: bool = True, jobs: int = 1, verbose: bool = True,
     Fig 20 grid (complete Trinity-like trace, 32K nodes)."""
     if full:
         trace_config = SyntheticTraceConfig()
-        ratios, sizes = FULL_RATIOS, FULL_SIZES
-        grid_name = "fig20-full 32k"
+        ratios, sizes, grid_name = FULL_RATIOS, FULL_SIZES, FULL_GRID
     else:
         trace_config = smoke_trace_config()
-        ratios, sizes = RATIOS, SIZES
-        grid_name = "fig20-smoke 2x2x2"
+        ratios, sizes, grid_name = RATIOS, SIZES, SMOKE_GRID
     tasks: List[list] = []
     for ratio in ratios:
         trace_jobs = synthesize_trace(seed=SEED, scaling_ratio=ratio,
@@ -178,103 +156,98 @@ def run_grid(caches: bool = True, jobs: int = 1, verbose: bool = True,
                 task[6] = chrome_out
                 break
     tasks = [tuple(t) for t in tasks]
-    start = time.perf_counter()
-    configs = run_grid_tasks(_run_one, tasks, jobs=jobs)
-    elapsed = time.perf_counter() - start
-    total_events = sum(c["events"] for c in configs)
+    outcomes = run_grid_tasks(_run_one, tasks, jobs=jobs)
+    configs = [config for config, _ in outcomes]
     if verbose:
         for c in configs:
             print(f"  {c['policy']:3s} {c['nodes']:5d} nodes "
-                  f"ratio {c['ratio']}: "
-                  f"{c['wall_s']:6.2f}s  {c['events']} events  "
-                  f"{c['events_per_s']:7.0f} ev/s")
-    # Serial entries report summed per-config wall time (comparable to
-    # older entries); parallel entries report overall elapsed, since
-    # per-config clocks overlap.
-    total_wall = elapsed if jobs > 1 \
-        else sum(c["wall_s"] for c in configs)
-    return {
+                  f"ratio {c['ratio']}: {c['events']} events  "
+                  f"makespan {c['makespan']:.1f}")
+    entry = {
         "grid": grid_name,
         "caches": caches,
         "jobs": jobs,
         "trace": trace,
-        "total_wall_s": round(total_wall, 4),
-        "total_events": total_events,
-        "events_per_s": round(total_events / total_wall, 1),
+        "total_events": sum(c["events"] for c in configs),
         "configs": configs,
     }
+    return entry, sum(wall for _, wall in outcomes)
 
 
-def check_divergence(report: dict, label: str) -> List[str]:
-    """Cross-check results of every same-grid entry pair in ``report``.
+def _diff(new: dict, old: dict) -> dict:
+    """The counters on which two configs disagree, as (new, old)."""
+    return {key: (new.get(key), old.get(key))
+            for key in sorted(new.keys() | old.keys())
+            if new.get(key) != old.get(key)}
 
-    All entries replay the same traces with the same seed, so their
-    per-configuration makespans and mean turnarounds must agree exactly
-    — fast paths are contractually bit-identical to the reference, and
-    parallel runs to serial ones.  Returns a list of
-    human-readable divergence descriptions (empty when everything
-    matches).
+
+def check_divergence(report: dict) -> List[str]:
+    """Cross-check every entry of ``report`` against every other.
+
+    All entries of one grid replay the same traces with the same seed,
+    so their per-configuration makespans and mean turnarounds must
+    agree exactly — fast paths are contractually bit-identical to the
+    reference, and parallel and traced runs to serial ones.  The
+    counters are deterministic too, but the cache mode changes some of
+    them, so they must agree across entries that share a grid and a
+    ``caches`` value.  A Fig 20 entry must carry exactly the
+    :data:`COUNTER_NAMES` counters, so adding or renaming a counter
+    forces its regeneration.  Returns human-readable divergence
+    descriptions (empty when everything matches).
     """
-    grids: Dict[str, Dict[tuple, tuple]] = {}
+    results: Dict[tuple, tuple] = {}
+    counters: Dict[tuple, tuple] = {}
     problems: List[str] = []
     for name, entry in report.items():
-        seen = grids.setdefault(entry.get("grid", "?"), {})
+        grid = entry.get("grid", "?")
         for config in entry.get("configs", []):
-            key = (config["policy"], config["nodes"], config["ratio"])
-            results = (config["makespan"], config["mean_turnaround"])
-            known = seen.get(key)
-            if known is None:
-                seen[key] = (name, results)
-            elif known[1] != results:
+            point = (config["policy"], config["nodes"], config["ratio"])
+            found = config.get("counters", {})
+            if grid in (SMOKE_GRID, FULL_GRID) \
+                    and found.keys() != set(COUNTER_NAMES):
                 problems.append(
-                    f"{key}: '{name}' {results} != '{known[0]}' {known[1]}"
+                    f"{point}: '{name}' counters missing "
+                    f"{sorted(set(COUNTER_NAMES) - found.keys())}, extra "
+                    f"{sorted(found.keys() - set(COUNTER_NAMES))}; "
+                    f"regenerate the entry"
+                )
+            outcome = (config["makespan"], config["mean_turnaround"])
+            known = results.setdefault((grid, point), (name, outcome))
+            if known[1] != outcome:
+                problems.append(
+                    f"{point}: '{name}' {outcome} != '{known[0]}' {known[1]}"
+                )
+            known = counters.setdefault(
+                (grid, entry.get("caches"), point), (name, found))
+            if known[1] != found:
+                problems.append(
+                    f"{point} counters: '{name}' != '{known[0]}' "
+                    f"(new, old): {_diff(found, known[1])}"
                 )
     return problems
 
 
-#: Full tracing may cost at most this factor in grid wall-clock
-#: (DESIGN.md §10 overhead budget; the trace gate exits 3 beyond it).
-TRACE_OVERHEAD_LIMIT = 1.10
-
-#: Wall-clock regression threshold: a ``current`` run slower than this
-#: factor times the committed ``current`` entry draws a CI warning (the
-#: machine-noise band is well under 15 %; bit-identity stays the hard
-#: gate).
-WALL_REGRESSION_LIMIT = 1.15
-
-#: How many rows of the cProfile cumulative-time table ``--profile``
-#: prints and writes to the artifact file.
-PROFILE_TOP_N = 25
+def _fatal(title: str, problems: List[str]) -> int:
+    """Print a failed gate's mismatches; returns exit status 2."""
+    print(f"FATAL: {title} ({len(problems)} mismatches):", file=sys.stderr)
+    for line in problems:
+        print(f"  {line}", file=sys.stderr)
+    return 2
 
 
-def run_profiled(args: argparse.Namespace) -> int:
-    """``--profile``: run the serial smoke grid under :mod:`cProfile`
-    and emit the top-``PROFILE_TOP_N`` cumulative-time table — printed,
-    and written to ``--profile-out`` as a CI artifact.  Profiled walls
-    are *not* comparable to normal entries (instrumentation overhead is
-    roughly 2x on this Python-heavy code), so nothing is written to
-    BENCH_sim.json."""
-    import cProfile
-    import io
-    import pstats
-
-    caches = not args.no_caches
-    print(f"profiling fig20 smoke grid "
-          f"(caches {'on' if caches else 'off'}, serial, "
-          f"cProfile) ...")
-    profiler = cProfile.Profile()
-    profiler.enable()
-    entry = run_grid(caches=caches, full=args.full)
-    profiler.disable()
-    print(f"total (instrumented): {entry['total_wall_s']:.2f}s")
-    buf = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buf)
-    stats.sort_stats("cumulative").print_stats(PROFILE_TOP_N)
-    table = buf.getvalue()
-    print(table)
-    out = Path(args.profile_out)
-    out.write_text(table)
-    print(f"wrote profile artifact to {out}")
+def _merge(path: Path, label: str, entry: dict) -> int:
+    """Gate ``entry`` against every entry in ``path``, then write it
+    there under ``label``; returns the exit status."""
+    report = json.loads(path.read_text()) if path.exists() else {}
+    report[label] = entry
+    problems = check_divergence(report)
+    if problems:
+        _fatal("results diverge between entries", problems)
+        print("not writing BENCH_sim.json — fix the divergence first",
+              file=sys.stderr)
+        return 2
+    path.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {path}")
     return 0
 
 
@@ -284,54 +257,47 @@ def run_trace_gate(args: argparse.Namespace) -> int:
     Runs the smoke grid twice — untraced, then with full-level tracing —
     and enforces the DESIGN.md §10 observability contract:
 
-    * traced results are **bit-identical** to untraced ones (and to any
-      committed BENCH_sim.json entry) — exit 2 on divergence;
+    * traced results and counters are **bit-identical** to untraced
+      ones (and to the committed BENCH_sim.json entries) — exit 2 on
+      divergence;
     * every traced config's record stream passes the invariant replay
       (:func:`repro.obs.verify_trace` raises inside the worker);
     * the traced grid costs at most ``TRACE_OVERHEAD_LIMIT`` x the
       untraced wall-clock — exit 3 beyond the budget.
 
     Results are compared in memory only; nothing is written to
-    BENCH_sim.json (the gate is not a benchmark baseline).
+    BENCH_sim.json (the gate is not a baseline).
     """
     print("trace gate: smoke grid untraced vs --trace-level full ...")
     # Two repetitions per pass, best total kept: the walls being
     # compared differ by less than run-to-run machine noise, so a
     # single-shot ratio would make the gate flaky.
-    plain = traced = None
+    best: Dict[str, Tuple[dict, float]] = {}
     for rep in range(2):
-        print(f"untraced pass {rep + 1}:")
-        entry = run_grid(caches=True, verbose=rep == 0)
-        print(f"  total {entry['total_wall_s']:.2f}s")
-        if plain is None or entry["total_wall_s"] < plain["total_wall_s"]:
-            plain = entry
-        print(f"traced pass {rep + 1} (full level):")
-        entry = run_grid(caches=True, verbose=rep == 0, trace=True,
-                         chrome_out=args.chrome_out)
-        print(f"  total {entry['total_wall_s']:.2f}s")
-        if traced is None \
-                or entry["total_wall_s"] < traced["total_wall_s"]:
-            traced = entry
+        for name, trace in (("untraced", False), ("traced-full", True)):
+            print(f"{name} pass {rep + 1}:")
+            run = run_grid(caches=True, verbose=rep == 0, trace=trace,
+                           chrome_out=args.chrome_out if trace else None)
+            print(f"  total {run[1]:.2f}s")
+            if name not in best or run[1] < best[name][1]:
+                best[name] = run
 
-    report = {"untraced": plain, "traced-full": traced}
+    report = {name: entry for name, (entry, _) in best.items()}
     path = Path(args.output)
     if path.exists():
         for name, entry in json.loads(path.read_text()).items():
             report.setdefault(f"bench:{name}", entry)
-    problems = check_divergence(report, "traced-full")
+    problems = check_divergence(report)
     if problems:
-        print(f"FATAL: tracing changed results "
-              f"({len(problems)} mismatches):", file=sys.stderr)
-        for line in problems:
-            print(f"  {line}", file=sys.stderr)
-        return 2
+        return _fatal("tracing changed results", problems)
 
-    records = sum(c.get("trace_records", 0) for c in traced["configs"])
-    print(f"invariant replay: OK on {len(traced['configs'])} configs "
+    configs = report["traced-full"]["configs"]
+    records = sum(c["trace_records"] for c in configs)
+    print(f"invariant replay: OK on {len(configs)} configs "
           f"({records} trace records)")
     if args.chrome_out:
         print(f"wrote Chrome trace artifact to {args.chrome_out}")
-    overhead = traced["total_wall_s"] / plain["total_wall_s"]
+    overhead = best["traced-full"][1] / best["untraced"][1]
     print(f"tracer overhead: {overhead:.3f}x "
           f"(budget {TRACE_OVERHEAD_LIMIT:.2f}x)")
     if overhead > TRACE_OVERHEAD_LIMIT:
@@ -351,15 +317,19 @@ def run_oversub_gate(args: argparse.Namespace) -> int:
 
     * **flat-degenerate bit-identity** — every 1:1 point must reproduce
       the same variant replayed on a fabric-less ``ClusterSpec``
-      exactly, and the whole grid must match any committed
-      ``fig-oversub`` entry in BENCH_sim.json (exit 2 on divergence);
+      exactly (exit 2 on divergence);
     * **locality divergence** — at the top swept ratio, locality-aware
       SNS must evaluate strictly fewer fabric routes than plain SNS (it
       fills racks before crossing the spine), so the knob failing to
       change placements turns the gate red rather than passing quietly.
 
-    The grid is merged into BENCH_sim.json under ``fig-oversub`` with
-    the fabric link counters alongside the headline numbers.
+    The grid, with the fabric link counters alongside the headline
+    numbers, is then merged into BENCH_sim.json under ``--label``
+    (default ``fig-oversub``) and gated against every entry already
+    there (exit 2 on divergence).  The default label replaces the
+    committed ``fig-oversub`` entry before that comparison, so a run
+    that must match it passes another label, as CI does with
+    ``--label fig-oversub-ci``.
     """
     from repro.experiments.fig_oversub import (
         N_JOBS, NUM_NODES as OV_NODES, PROGRAMS, SEED as OV_SEED,
@@ -369,11 +339,8 @@ def run_oversub_gate(args: argparse.Namespace) -> int:
 
     print("oversub gate: fig_oversub sweep "
           f"({OV_NODES} nodes, {N_JOBS} jobs) ...")
-    start = time.perf_counter()
     result = run_fig_oversub()
-    elapsed = time.perf_counter() - start
     print(format_fig_oversub(result))
-    print(f"total: {elapsed:.2f}s")
 
     # Flat-degenerate contract: a 1:1 fabric must be indistinguishable
     # from no fabric at all, bit for bit.
@@ -397,11 +364,8 @@ def run_oversub_gate(args: argparse.Namespace) -> int:
                 f"({flat.makespan}, {flat.mean_turnaround()})"
             )
     if problems:
-        print(f"FATAL: 1:1 fabric diverges from the flat network "
-              f"({len(problems)} mismatches):", file=sys.stderr)
-        for line in problems:
-            print(f"  {line}", file=sys.stderr)
-        return 2
+        return _fatal("1:1 fabric diverges from the flat network",
+                      problems)
 
     top = ratios[-1]
     sns = result.get(top, "SNS")
@@ -416,7 +380,6 @@ def run_oversub_gate(args: argparse.Namespace) -> int:
 
     entry = {
         "grid": f"fig-oversub {OV_NODES}n",
-        "total_wall_s": round(elapsed, 4),
         "configs": [
             {
                 "policy": p.variant,
@@ -432,22 +395,10 @@ def run_oversub_gate(args: argparse.Namespace) -> int:
             for p in result.points
         ],
     }
-    path = Path(args.output)
-    report = json.loads(path.read_text()) if path.exists() else {}
-    report[args.label or "fig-oversub"] = entry
-    problems = check_divergence(report, args.label or "fig-oversub")
-    if problems:
-        print(f"FATAL: results diverge between entries "
-              f"({len(problems)} mismatches):", file=sys.stderr)
-        for line in problems:
-            print(f"  {line}", file=sys.stderr)
-        print("not writing BENCH_sim.json — fix the divergence first",
-              file=sys.stderr)
-        return 2
-    path.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {path}")
-    print("oversub gate passed")
-    return 0
+    status = _merge(Path(args.output), args.label or "fig-oversub", entry)
+    if status == 0:
+        print("oversub gate passed")
+    return status
 
 
 def main(argv=None) -> int:
@@ -456,7 +407,7 @@ def main(argv=None) -> int:
                         help="entry name in BENCH_sim.json "
                              "(default: current, or jobsN)")
     parser.add_argument("--no-caches", action="store_true",
-                        help="benchmark the unmemoized reference path")
+                        help="run the unmemoized reference path")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run the grid on N worker processes and "
                              "gate bit-identity against serial entries")
@@ -479,15 +430,6 @@ def main(argv=None) -> int:
                              "the locality divergence, and merge the "
                              "entry into BENCH_sim.json (exit 2 on any "
                              "divergence)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run the serial grid under cProfile and "
-                             "emit the top-25 cumulative-time table "
-                             "(CI artifact; writes no benchmark entry)")
-    parser.add_argument("--profile-out", default=str(REPO_ROOT /
-                                                     "bench_profile.txt"),
-                        metavar="PATH",
-                        help="with --profile: where to write the "
-                             "cumulative-time table")
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_sim.json"))
     args = parser.parse_args(argv)
 
@@ -495,8 +437,6 @@ def main(argv=None) -> int:
         return run_trace_gate(args)
     if args.oversub_gate:
         return run_oversub_gate(args)
-    if args.profile:
-        return run_profiled(args)
 
     caches = not args.no_caches
     label: Optional[str] = args.label
@@ -507,49 +447,11 @@ def main(argv=None) -> int:
                 else f"fig20-full-{label}"
     mode = f"{args.jobs} processes" if args.jobs > 1 else "serial"
     scale = "full" if args.full else "smoke"
-    print(f"benchmarking fig20 {scale} grid "
+    print(f"replaying fig20 {scale} grid "
           f"(caches {'on' if caches else 'off'}, {mode}) ...")
-    entry = run_grid(caches=caches, jobs=args.jobs, full=args.full)
-    print(f"total: {entry['total_wall_s']:.2f}s, "
-          f"{entry['events_per_s']:.0f} events/s")
-
-    path = Path(args.output)
-    report = {}
-    if path.exists():
-        report = json.loads(path.read_text())
-    # Wall-clock regression warning (CI surfaces it): compare against
-    # the committed entry under the same label before overwriting it.
-    # Soft perf gate: every run (CI labels included) is compared against
-    # the committed canonical ``current`` entry for the same grid; bit
-    # identity below stays the hard gate.
-    prior = report.get("current") or report.get(label)
-    if prior is not None and prior.get("grid") == entry["grid"]:
-        ratio = entry["total_wall_s"] / prior["total_wall_s"]
-        if ratio > WALL_REGRESSION_LIMIT:
-            print(f"WARNING: wall-clock regression — "
-                  f"{entry['total_wall_s']:.2f}s is {ratio:.2f}x the "
-                  f"committed baseline "
-                  f"({prior['total_wall_s']:.2f}s, limit "
-                  f"{WALL_REGRESSION_LIMIT:.2f}x)")
-    report[label] = entry
-    baselines = [
-        (name, e["total_wall_s"]) for name, e in report.items()
-        if name != label and e.get("grid") == entry["grid"]
-    ]
-    for name, wall in baselines:
-        print(f"vs {name}: {wall / entry['total_wall_s']:.2f}x")
-    problems = check_divergence(report, label)
-    if problems:
-        print(f"FATAL: results diverge between entries "
-              f"({len(problems)} mismatches):", file=sys.stderr)
-        for line in problems:
-            print(f"  {line}", file=sys.stderr)
-        print("not writing BENCH_sim.json — fix the divergence first",
-              file=sys.stderr)
-        return 2
-    path.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {path}")
-    return 0
+    entry, _ = run_grid(caches=caches, jobs=args.jobs, full=args.full)
+    print(f"total: {entry['total_events']} events")
+    return _merge(Path(args.output), label, entry)
 
 
 if __name__ == "__main__":
